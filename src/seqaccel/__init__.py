@@ -28,7 +28,6 @@ from .streams import (
     iota,
     last_defined,
     partial_sums,
-    repeat_const,
     stream_map,
     stream_tail,
     take,
@@ -44,7 +43,6 @@ from .transforms import (
     g_algorithm,
     g_initial,
     levin,
-    levin_order2_form,
     remainder_estimate,
 )
 from .sequences import (

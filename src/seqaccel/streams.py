@@ -32,7 +32,6 @@ __all__ = [
     "from_values",
     "from_function",
     "iota",
-    "repeat_const",
     "take",
     "stream_tail",
     "zip_with",
@@ -108,11 +107,6 @@ def iota(start, step) -> NumStream:
     start = as_element(start)
     step = as_element(step)
     return NumStream(lambda i: start + step * i)
-
-
-def repeat_const(c) -> NumStream:
-    c = as_element(c)
-    return NumStream(lambda i: c)
 
 
 def take(s: NumStream, n: int) -> NumStream:

@@ -5,8 +5,8 @@ families:
 
 * the E-algorithm, a recursive elimination scheme valid for any order,
   driven by auxiliary weight streams g(k, j); and
-* Levin transforms of order 0, 1 and 2 in closed form. Order 1 with the
-  t model is Aitken's delta-squared process.
+* Levin transforms of any order, one closed formula for all of them.
+  Order 1 with the t model is Aitken's delta-squared process.
 
 Two conventions for the order-0 weights circulate in the literature and
 are **not** equivalent: g(0, j)[n] = n^(1-j) * R[n] (`GConvention.TEXT`)
@@ -27,25 +27,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import comb, prod
 
 from .scalars import (
     Element,
     Undefined,
     UndefinedReason,
-    add,
     div,
     first_undefined,
     int_pow,
     mul,
     propagated,
-    sub,
 )
 from .streams import (
     NumStream,
     forward_difference,
     from_function,
     iota,
-    repeat_const,
     stream_tail,
     zip_with,
 )
@@ -61,7 +59,6 @@ __all__ = [
     "e_algorithm",
     "aitken",
     "levin",
-    "levin_order2_form",
 ]
 
 
@@ -95,11 +92,6 @@ class TransformSpec:
     def __post_init__(self):
         if self.order < 0:
             raise ValueError(f"order must be >= 0, got {self.order}")
-        if self.method is Method.LEVIN and self.order > 2:
-            raise ValueError(
-                "closed-form Levin transforms stop at order 2; "
-                "use the E-algorithm for higher orders"
-            )
 
     def apply(self, s: NumStream) -> NumStream:
         if self.method is Method.LEVIN:
@@ -212,86 +204,66 @@ def aitken(s: NumStream) -> NumStream:
     every defined cell equals L. Constant stretches pass through
     unchanged via the short-circuit rule.
     """
-
-    def compute(i: int) -> Element:
-        s0, s1, s2 = s.at(i), s.at(i + 1), s.at(i + 2)
-        u = first_undefined(s0, s1)
-        if u:
-            return propagated(u)
-        d = s1 - s0
-        if d == 0:
-            return s0
-        if isinstance(s2, Undefined):
-            return propagated(s2)
-        d2 = s2 - 2 * s1 + s0
-        if d2 == 0:
-            return Undefined(UndefinedReason.DIV_BY_ZERO)
-        return s0 - d * d / d2
-
-    length = None if s.length is None else max(s.length - 2, 0)
-    return NumStream(compute, length)
+    return levin(Kind.T, 1, s)
 
 
 def levin(kind: Kind, k: int, s: NumStream) -> NumStream:
-    """Closed-form Levin transform of order k in {0, 1, 2}.
+    """Levin transform of order k >= 0; order 0 is the identity.
 
-    Order 1 with kind T coincides cell-for-cell with `aitken`.
+    With R the remainder estimate of s, cell i of order k >= 1 is
+    Σⱼ wⱼ s[i+j]/R[i+j] ÷ Σⱼ wⱼ/R[i+j] over j = 0..k, with
+    wⱼ = (-1)^(k-j) C(k, j) (i+j)^(k-1), evaluated multiplied through by
+    R[i]···R[i+k] so that a zero R does not by itself leave the cell
+    undefined. Order 1 keeps the short-circuit rule: when Δs[i]·R[i] = 0
+    the cell is s[i] and R[i+1] is not read. From order 2 on, a zero
+    denominator is undefined as in `div`. An undefined operand makes the
+    cell undefined with the cause of the first one in summand order
+    (see `_summand_operands`). Order 1 with kind T is `aitken`.
     """
+    if k < 0:
+        raise ValueError(f"order must be >= 0, got {k}")
     if k == 0:
         return s
-    if k == 1:
-        return _levin_order1(kind, s)
-    if k == 2:
-        numerator = levin_order2_form(kind, s, s)
-        denominator = levin_order2_form(kind, repeat_const(1), s)
-        return zip_with(div, numerator, denominator)
-    raise ValueError(
-        f"closed-form Levin transforms stop at order 2, got {k}; "
-        "use the E-algorithm for higher orders"
-    )
-
-
-def _levin_order1(kind: Kind, s: NumStream) -> NumStream:
     r = remainder_estimate(kind, s)
+    signed_binomials = [(-1) ** (k - j) * comb(k, j) for j in range(k + 1)]
 
     def compute(i: int) -> Element:
-        s0, s1, r0 = s.at(i), s.at(i + 1), r.at(i)
-        u = first_undefined(s0, s1, r0)
+        s_win = [s.at(i + j) for j in range(k + 1)]
+        if k == 1:
+            s0, s1, r0 = s_win[0], s_win[1], r.at(i)
+            u = first_undefined(s0, s1, r0)
+            if u:
+                return propagated(u)
+            if s1 == s0 or r0 == 0:  # Δs[i]·R[i] = 0
+                return s0
+        r_win = [r.at(i + m) for m in range(k + 1)]
+        u = first_undefined(*_summand_operands(s_win, r_win))
         if u:
             return propagated(u)
-        num = (s1 - s0) * r0
-        if num == 0:
-            return s0
-        r1 = r.at(i + 1)
-        if isinstance(r1, Undefined):
-            return propagated(r1)
-        den = r1 - r0
+        # s[i] + N'/D with N' = Σⱼ wⱼ (s[i+j] - s[i]) Pⱼ and D = Σⱼ wⱼ Pⱼ,
+        # where Pⱼ is R[i]···R[i+k] without R[i+j]. N'/D equals the
+        # transform minus s[i]; the differences s[i+j] - s[i] keep the
+        # operands small where s[i] itself is a large rational.
+        s0 = s_win[0]
+        p = [prod(r_win[:j] + r_win[j + 1:], start=c * (i + j) ** (k - 1))
+             for j, c in enumerate(signed_binomials)]
+        num = sum(pj * (sj - s0) for pj, sj in zip(p[1:], s_win[1:]))
+        den = sum(p)
         if den == 0:
-            return Undefined(UndefinedReason.DIV_BY_ZERO)
-        return s0 - num / den
+            return div(num, den)
+        return s0 + num / den
 
-    length = None if r.length is None else max(r.length - 1, 0)
+    length = None if r.length is None else max(r.length - k, 0)
     return NumStream(compute, length)
 
 
-def levin_order2_form(kind: Kind, s_prime: NumStream, s: NumStream) -> NumStream:
-    """Weighted three-term combination behind the order-2 Levin transform.
+def _summand_operands(s_win: list, r_win: list):
+    """Operands of the summands wⱼ s[i+j] Pⱼ, from j = k down to 0.
 
-    With R the remainder estimate of s, cell i is
-    (i+2)·s'[i+2]·R[i+1]·R[i] - 2(i+1)·s'[i+1]·R[i+2]·R[i]
-    + i·s'[i]·R[i+2]·R[i+1]. The transform divides this form evaluated at
-    s' = s by the same form evaluated at the all-ones stream.
+    Each summand yields s[i+j] and then R[i+m] for m = k down to 0,
+    m != j; the first undefined one names the cell's cause.
     """
-    r = remainder_estimate(kind, s)
-    tail = stream_tail
-    t1 = _product(iota(2, 1), tail(tail(s_prime)), tail(r), r)
-    t2 = _product(iota(2, 2), tail(s_prime), tail(tail(r)), r)
-    t3 = _product(iota(0, 1), s_prime, tail(tail(r)), tail(r))
-    return zip_with(add, zip_with(sub, t1, t2), t3)
-
-
-def _product(first: NumStream, *rest: NumStream) -> NumStream:
-    out = first
-    for s in rest:
-        out = zip_with(mul, out, s)
-    return out
+    k = len(s_win) - 1
+    for j in range(k, -1, -1):
+        yield s_win[j]
+        yield from (r_win[m] for m in range(k, -1, -1) if m != j)

@@ -154,6 +154,26 @@ def levin2_list(kind, s):
     return out
 
 
+def levin_list(kind, k, s):
+    """Order-k Levin transform (k >= 1) as a ratio of k-th differences.
+
+    Cell i is Δ^k(n^(k-1) s[n]/R[n]) / Δ^k(n^(k-1)/R[n]) at n = i; a zero
+    or undefined R, or a zero denominator, makes the cell undefined.
+    """
+    r = remainder_list(kind, s)
+
+    def over_r(values):
+        return [
+            None if (v is None or ri is None or ri == 0) else Fraction(n) ** (k - 1) * v / ri
+            for n, (v, ri) in enumerate(zip(values, r))
+        ]
+
+    num, den = over_r(s), over_r([Fraction(1)] * len(r))
+    for _ in range(k):
+        num, den = delta_list(num), delta_list(den)
+    return [None if (a is None or b is None or b == 0) else a / b for a, b in zip(num, den)]
+
+
 def partial_sums_list(terms):
     out = []
     acc = Fraction(0)

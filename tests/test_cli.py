@@ -1,5 +1,6 @@
 import pytest
 
+from seqaccel import Kind, Method, TransformSpec, catalan_stream, growth_coefficient
 from seqaccel.cli import main
 
 
@@ -40,6 +41,19 @@ class TestGrowthCoeff:
         main(argv)
         second = capsys.readouterr().out
         assert first == second
+
+
+    def test_levin_order_three_matches_in_process(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "growth-coeff", "--method", "levin", "--kind", "u", "--order", "3",
+            "--generator", "catalan", "--terms", "60",
+        )
+        report = growth_coefficient(
+            TransformSpec(Method.LEVIN, Kind.U, 3), catalan_stream(), 60, digits=10
+        )
+        assert code == 0
+        assert out == f"{report.rendered}\nstable-digits: {report.digits_stable}\n"
 
 
 class TestSumSeries:
@@ -147,10 +161,10 @@ class TestUsageErrors:
         assert code == 1
         assert "--terms" in err
 
-    def test_levin_order_three_rejected(self, capsys):
+    def test_negative_order_rejected(self, capsys):
         code, _, err = run_cli(
             capsys,
-            "growth-coeff", "--method", "levin", "--order", "3",
+            "growth-coeff", "--method", "levin", "--order", "-1",
             "--generator", "catalan", "--terms", "10",
         )
         assert code == 1

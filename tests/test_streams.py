@@ -14,7 +14,6 @@ from seqaccel import (
     iota,
     last_defined,
     partial_sums,
-    repeat_const,
     stream_map,
     stream_tail,
     take,
@@ -58,7 +57,7 @@ class TestAt:
         assert out.reason is UndefinedReason.OUT_OF_RANGE
 
     def test_sparse_access_on_constant_stream(self):
-        assert repeat_const(1).at(10 ** 6) == F(1)
+        assert iota(1, 0).at(10 ** 6) == F(1)
 
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
@@ -95,7 +94,7 @@ class TestCombinators:
         assert_stream_equals(take(stream_tail(from_values([1, 2, 3])), 5), [2, 3])
 
     def test_tail_of_constant_is_constant(self):
-        t = stream_tail(repeat_const(F(7, 3)))
+        t = stream_tail(iota(F(7, 3), 0))
         assert t.length is None
         assert t.at(100) == F(7, 3)
 
@@ -113,7 +112,8 @@ class TestCombinators:
         assert [iota(0, 1).at(i) for i in range(3)] == [0, 1, 2]
 
     def test_repeat_const_prefix(self):
-        assert repeat_const(1).prefix(3) == [1, 1, 1]
+        # A repeated constant is the zero-step progression iota(c, 0).
+        assert iota(1, 0).prefix(3) == [1, 1, 1]
 
     def test_stream_map(self):
         doubled = stream_map(lambda e: mul(e, F(2)), from_values([1, 2, 3]))
@@ -157,7 +157,7 @@ class TestDifferencesAndSums:
         assert_stream_equals(forward_difference(from_values([1, 4, 9, 16])), [3, 5, 7])
 
     def test_difference_of_constant_is_zero(self):
-        d = forward_difference(repeat_const(F(5, 7)))
+        d = forward_difference(iota(F(5, 7), 0))
         assert all(d.at(i) == 0 for i in range(6))
 
     def test_difference_of_alternating_partial_sums(self):
@@ -170,7 +170,7 @@ class TestDifferencesAndSums:
         assert_stream_equals(partial_sums(from_values([0, 1, -2, 3, -4])), [0, 1, -1, 2, -2])
 
     def test_partial_sums_of_ones(self):
-        s = partial_sums(repeat_const(1))
+        s = partial_sums(iota(1, 0))
         assert [s.at(i) for i in range(5)] == [1, 2, 3, 4, 5]
 
     @given(values=small_value_lists)

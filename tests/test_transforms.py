@@ -17,10 +17,9 @@ from seqaccel import (
     from_values,
     g_algorithm,
     g_initial,
+    iota,
     levin,
-    levin_order2_form,
     remainder_estimate,
-    repeat_const,
 )
 import oracles
 from conftest import (
@@ -128,7 +127,7 @@ class TestEAlgorithm:
         assert_stream_equals(out, [F(1, 2), F(1, 2), F(1, 2)])
 
     def test_short_circuit_preserves_constant_streams(self):
-        const = repeat_const(F(1, 2))
+        const = iota(F(1, 2), 0)
         for k in (1, 2, 3):
             out = e_algorithm(Kind.U, k, const)
             for i in range(5):
@@ -170,7 +169,7 @@ class TestAitken:
                              [F(1, 2), F(1, 2), F(1, 2)])
 
     def test_constant_stream_is_fixed_point(self):
-        out = aitken(repeat_const(F(2, 7)))
+        out = aitken(iota(F(2, 7), 0))
         for i in range(6):
             assert out.at(i) == F(2, 7)
 
@@ -217,9 +216,20 @@ class TestLevin:
         out = levin(Kind.T, 1, from_values([1, 0, 1, 0, 1]))
         assert_stream_equals(out, [F(1, 2), F(1, 2), F(1, 2)])
 
-    def test_orders_above_two_rejected(self):
+    def test_any_order_matches_difference_oracle(self):
+        rng = random.Random(1973)
+        for k in range(1, 7):
+            for _ in range(12):
+                values = nondegenerate_stream_values(rng, rng.randint(k + 3, k + 6))
+                for kind in KINDS:
+                    want = oracles.levin_list(kind_code(kind), k, values)
+                    got = levin(kind, k, from_values(values))
+                    assert got.length == len(want)
+                    assert stream_cells(got, len(want)) == want, (values, kind, k)
+
+    def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
-            levin(Kind.T, 3, from_values([1, 2, 3]))
+            levin(Kind.T, -1, from_values([1, 2, 3]))
 
     @given(values=rational_lists)
     def test_order_one_matches_oracle(self, values):
@@ -237,39 +247,108 @@ class TestLevin:
 
 
 class TestLevinOrder2Form:
+    """Order 2 is Σⱼ wⱼ s[i+j] Pⱼ over Σⱼ wⱼ Pⱼ, Pⱼ = ∏_{m≠j} R[i+m]."""
+
     def test_first_cell_drops_zero_weighted_summand(self):
-        # At cell 0 the third summand has weight 0, so only the first two
-        # contribute: 2*s'[2]*R[1]*R[0] - 2*s'[1]*R[2]*R[0].
+        # At cell 0 the weight of s[0] is 0, so only the first two
+        # summands contribute: 2*s[2]*R[1]*R[0] - 2*s[1]*R[2]*R[0].
         s = from_values([1, 3, 4, 9, 11, 20])
-        sp = from_values([5, 7, 11, 13, 17, 19])
         r = remainder_estimate(Kind.T, s)
-        out = levin_order2_form(Kind.T, sp, s)
-        want = 2 * F(11) * r.at(1) * r.at(0) - 2 * F(7) * r.at(2) * r.at(0)
-        assert out.at(0) == want
+        num = 2 * F(4) * r.at(1) * r.at(0) - 2 * F(3) * r.at(2) * r.at(0)
+        den = 2 * r.at(1) * r.at(0) - 2 * r.at(2) * r.at(0)
+        assert levin(Kind.T, 2, s).at(0) == num / den
 
     def test_ones_substitution(self):
+        # The denominator is the numerator's form with s replaced by ones.
         s = from_values([1, 3, 4, 9, 11, 20])
         r = remainder_estimate(Kind.U, s)
-        out = levin_order2_form(Kind.U, repeat_const(1), s)
-        for i in range(out.length):
-            want = (
-                (i + 2) * r.at(i + 1) * r.at(i)
-                - 2 * (i + 1) * r.at(i + 2) * r.at(i)
-                + i * r.at(i + 2) * r.at(i + 1)
-            )
-            assert out.at(i) == want
 
-    @given(values=st.lists(small_rationals, min_size=5, max_size=8))
-    def test_matches_direct_weight_formula(self, values):
-        rng = random.Random(7)
-        primed = random_stream_values(rng, len(values))
-        for kind in KINDS:
-            want = oracles.levin2_weights_list(kind_code(kind), primed, values)
-            got = stream_cells(
-                levin_order2_form(kind, from_values(primed), from_values(values)),
-                len(want),
+        def form(i, sp):
+            return (
+                (i + 2) * sp(i + 2) * r.at(i + 1) * r.at(i)
+                - 2 * (i + 1) * sp(i + 1) * r.at(i + 2) * r.at(i)
+                + i * sp(i) * r.at(i + 2) * r.at(i + 1)
             )
-            assert got == want
+
+        out = levin(Kind.U, 2, s)
+        assert out.length == 3
+        for i in range(out.length):
+            assert out.at(i) == form(i, s.at) / form(i, lambda j: 1)
+
+    def test_matches_direct_weight_formula(self):
+        # Small spans give zero differences, zero R and zero denominators.
+        rng = random.Random(7)
+        for _ in range(150):
+            values = random_stream_values(rng, rng.randint(5, 9), span=2)
+            for kind in KINDS:
+                want = oracles.levin2_list(kind_code(kind), values)
+                got = stream_cells(levin(kind, 2, from_values(values)), len(want))
+                assert got == want, (values, kind)
+
+
+DZ = Undefined(UndefinedReason.DIV_BY_ZERO)
+ZZ = Undefined(UndefinedReason.INDETERMINATE_ZERO_OVER_ZERO)
+OOR = Undefined(UndefinedReason.OUT_OF_RANGE)
+
+
+def P(u: Undefined) -> Undefined:
+    return Undefined(UndefinedReason.PROPAGATED_FROM_INPUT, u.cause)
+
+
+# Streams that mix undefined causes, and every cell of Levin orders 1 and 2
+# on them with the exact reason and cause of each undefined cell.
+MIXED_CAUSES = {
+    "a": [1, 2, DZ, 4, 4, 4, 7, OOR, 9, 10, ZZ, 12],
+    "b": [0, 1, 0, 1, 2, 3, 5, 5, 8, ZZ, OOR, 13, 1, 1],
+    "c": [OOR, DZ, 1, ZZ, OOR, 2, 3, 3, DZ, 4, 6, 7, 9],
+}
+LEVIN_CELLS_WITH_CAUSES = [
+    ("a", 1, Kind.T,
+     [P(DZ), P(DZ), P(DZ), 4, 4, P(OOR), P(OOR), P(OOR), P(ZZ), P(ZZ)]),
+    ("a", 1, Kind.U,
+     [P(DZ), P(DZ), P(DZ), 4, 4, P(OOR), P(OOR), P(OOR), P(ZZ), P(ZZ)]),
+    ("a", 1, Kind.V,
+     [P(DZ), P(DZ), P(DZ), P(ZZ), 4, P(OOR), P(OOR), P(OOR), P(ZZ)]),
+    ("a", 2, Kind.T,
+     [P(DZ), P(DZ), P(DZ), ZZ, P(OOR), P(OOR), P(OOR), P(OOR), P(ZZ)]),
+    ("a", 2, Kind.U,
+     [P(DZ), P(DZ), P(DZ), ZZ, P(OOR), P(OOR), P(OOR), P(OOR), P(ZZ)]),
+    ("a", 2, Kind.V,
+     [P(DZ), P(DZ), P(ZZ), P(ZZ), P(OOR), P(OOR), P(OOR), P(ZZ)]),
+    ("b", 1, Kind.T,
+     [F(1, 2), F(1, 2), DZ, DZ, 1, 5, 5, P(ZZ), P(ZZ), P(ZZ), P(OOR), 1]),
+    ("b", 1, Kind.U,
+     [F(1, 3), F(3, 5), -3, -3, F(9, 7), 5, 5, P(ZZ), P(ZZ), P(ZZ), P(OOR), 1]),
+    ("b", 1, Kind.V,
+     [F(1, 2), P(DZ), P(DZ), P(DZ), 3, 3, 5, P(ZZ), P(ZZ), P(ZZ), P(OOR)]),
+    ("b", 2, Kind.T,
+     [F(1, 2), -1, DZ, F(11, 5), 5, 5, P(ZZ), P(ZZ), P(OOR), P(OOR), P(OOR)]),
+    ("b", 2, Kind.U,
+     [F(3, 5), F(-3, 13), -3, F(36, 13), 5, 5, P(ZZ), P(ZZ), P(OOR), P(OOR), P(OOR)]),
+    ("b", 2, Kind.V,
+     [P(DZ), P(DZ), P(DZ), P(DZ), ZZ, P(ZZ), P(ZZ), P(ZZ), P(OOR), P(OOR)]),
+    ("c", 1, Kind.T,
+     [P(OOR), P(DZ), P(ZZ), P(ZZ), P(OOR), 3, 3, P(DZ), P(DZ), 8, 5]),
+    ("c", 1, Kind.U,
+     [P(OOR), P(DZ), P(ZZ), P(ZZ), P(OOR), 3, 3, P(DZ), P(DZ), F(76, 9), F(67, 13)]),
+    ("c", 1, Kind.V,
+     [P(OOR), P(DZ), P(ZZ), P(ZZ), P(OOR), 2, P(DZ), P(DZ), P(DZ), 5]),
+    ("c", 2, Kind.T,
+     [P(DZ), P(ZZ), P(OOR), P(OOR), P(OOR), P(DZ), P(DZ), P(DZ), P(DZ), F(127, 20)]),
+    ("c", 2, Kind.U,
+     [P(DZ), P(ZZ), P(OOR), P(OOR), P(OOR), P(DZ), P(DZ), P(DZ), P(DZ), F(7789, 1201)]),
+    ("c", 2, Kind.V,
+     [P(ZZ), P(ZZ), P(OOR), P(OOR), P(OOR), P(DZ), P(DZ), P(DZ), P(DZ)]),
+]
+
+
+@pytest.mark.parametrize(
+    "name,k,kind,want",
+    LEVIN_CELLS_WITH_CAUSES,
+    ids=[f"{name}-{k}-{kind.value}" for name, k, kind, _ in LEVIN_CELLS_WITH_CAUSES],
+)
+def test_levin_undefined_reason_and_cause(name, k, kind, want):
+    assert levin(kind, k, from_values(MIXED_CAUSES[name])).to_list() == want
 
 
 class TestCrossFamilyIdentities:
@@ -319,9 +398,12 @@ class TestCrossFamilyIdentities:
 
 
 class TestTransformSpec:
-    def test_levin_order_cap(self):
+    def test_levin_any_order(self):
+        s = from_values([1, 3, 4, 9, 11, 20, 22, 31])
+        spec = TransformSpec(Method.LEVIN, Kind.U, 3)
+        assert spec.apply(s).to_list() == levin(Kind.U, 3, s).to_list()
         with pytest.raises(ValueError):
-            TransformSpec(Method.LEVIN, Kind.U, 3)
+            TransformSpec(Method.LEVIN, Kind.U, -1)
 
     def test_ealg_any_order(self):
         TransformSpec(Method.EALG, Kind.U, 7)
