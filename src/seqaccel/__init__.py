@@ -13,7 +13,6 @@ from .scalars import (
     UndefinedReason,
     add,
     div,
-    int_pow,
     is_defined,
     mul,
     parse_scalar,
@@ -41,7 +40,6 @@ from .transforms import (
     aitken,
     e_algorithm,
     g_algorithm,
-    g_initial,
     levin,
     remainder_estimate,
 )

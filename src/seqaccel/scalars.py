@@ -33,7 +33,6 @@ __all__ = [
     "mul",
     "div",
     "ARITHMETIC_OPS",
-    "int_pow",
     "render_decimal",
     "parse_scalar",
 ]
@@ -136,13 +135,6 @@ ARITHMETIC_OPS: dict[str, Callable[[Element, Element], Element]] = {
     "mul": mul,
     "div": div,
 }
-
-
-def int_pow(a: Scalar, e: int) -> Scalar:
-    """Exact a**e for a nonnegative integer exponent; a**0 == 1 for all a."""
-    if e < 0:
-        raise ValueError(f"int_pow exponent must be >= 0, got {e}")
-    return a ** e
 
 
 _SCALAR_RE = re.compile(r"[+-]?\d+(?:/\d+|\.\d+)?")

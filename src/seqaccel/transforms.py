@@ -3,8 +3,8 @@
 Three classic remainder models (kinds t, u, v) feed two accelerator
 families:
 
-* the E-algorithm, a recursive elimination scheme valid for any order,
-  driven by auxiliary weight streams g(k, j); and
+* the E-algorithm of any order, one triangular table of eliminations
+  over the input and the weight columns g(k, j); and
 * Levin transforms of any order, one closed formula for all of them.
   Order 1 with the t model is Aitken's delta-squared process.
 
@@ -20,7 +20,8 @@ short-circuit rule: if Δa[i] is exactly 0 the correction is 0 and the
 result is a[i] regardless of Δb[i]; if Δa[i] != 0 and Δb[i] = 0 the cell
 is undefined. This preserves exact fixed points, so a transform that has
 already collapsed a sequence to its (anti-)limit is not destroyed by
-applying a higher order.
+applying a higher order. It saves work, not reads: E-algorithm cell i
+of order k >= 1 reads s[i..i+k+1] (kinds t, u) or s[i..i+k+2] (v).
 """
 from __future__ import annotations
 
@@ -35,14 +36,12 @@ from .scalars import (
     UndefinedReason,
     div,
     first_undefined,
-    int_pow,
     mul,
     propagated,
 )
 from .streams import (
     NumStream,
     forward_difference,
-    from_function,
     iota,
     stream_tail,
     zip_with,
@@ -54,7 +53,6 @@ __all__ = [
     "Method",
     "TransformSpec",
     "remainder_estimate",
-    "g_initial",
     "g_algorithm",
     "e_algorithm",
     "aitken",
@@ -116,72 +114,78 @@ def remainder_estimate(kind: Kind, s: NumStream) -> NumStream:
     return zip_with(div, zip_with(mul, stream_tail(d), d), forward_difference(d))
 
 
-def g_initial(kind: Kind, j: int, s: NumStream, convention: GConvention) -> NumStream:
-    """Order-0 weight stream g(0, j) under the selected convention."""
-    if j < 1:
-        raise ValueError(f"weight column j must be >= 1, got {j}")
-    r = remainder_estimate(kind, s)
-    n_pow = from_function(lambda i: int_pow(Fraction(i + 1), j - 1))
+def _weight(j: int, x: int, r: Element, convention: GConvention) -> Element:
+    """Order-0 weight g(0, j)[x] from the remainder cell r = R[x]."""
+    n_pow = Fraction(x + 1) ** (j - 1)
     if convention is GConvention.TEXT:
-        return zip_with(div, r, n_pow)  # n^(1-j) * R, with n >= 1
-    return zip_with(div, n_pow, r)
+        return div(r, n_pow)  # n^(1-j) * R, with n >= 1
+    return div(n_pow, r)
 
 
-def _eliminate(a: NumStream, b: NumStream) -> NumStream:
-    """One elimination step: a[i] - b[i] * (Δa[i] / Δb[i]).
+def _eliminate(a0: Element, a1: Element, b0: Element, b1: Element) -> Element:
+    """One elimination step: a0 - b0 * (Δa / Δb), Δa = a1 - a0, Δb = b1 - b0.
 
-    Short-circuit rule: Δa[i] == 0 returns a[i] outright; Δa[i] != 0 with
-    Δb[i] == 0 is a genuine division by zero.
+    Short-circuit rule: Δa == 0 returns a0 outright; Δa != 0 with Δb == 0
+    is a genuine division by zero.
     """
+    u = first_undefined(a0, a1)
+    if u:
+        return propagated(u)
+    da = a1 - a0
+    if da == 0:
+        return a0
+    u = first_undefined(b0, b1)
+    if u:
+        return propagated(u)
+    db = b1 - b0
+    if db == 0:
+        return Undefined(UndefinedReason.DIV_BY_ZERO)
+    return a0 - b0 * da / db
+
+
+def _table(kind: Kind, k: int, s: NumStream, convention: GConvention, j=None) -> NumStream:
+    """Level k of the E-algorithm table; the top column is s, or g(0, j).
+
+    The row at level m and index x holds cell x of the top column and of
+    g(m, m+1), ..., g(m, k); its second entry is the pivot that level
+    m + 1 eliminates. Row x at level m comes from rows x and x+1 at level
+    m - 1, so output cell i fills the missing rows i..i+k-m of each level
+    m, bottom-up.
+    """
+    r = remainder_estimate(kind, s)
+    rows: list[dict[int, tuple[Element, ...]]] = [{} for _ in range(k + 1)]
+
+    def level_zero(x: int) -> tuple[Element, ...]:
+        rx = r.at(x)
+        top = s.at(x) if j is None else _weight(j, x, rx, convention)
+        return (top, *(_weight(c, x, rx, convention) for c in range(1, k + 1)))
+
+    def eliminated(below: tuple, above: tuple) -> tuple[Element, ...]:
+        p0, p1 = below[1], above[1]
+        return tuple(_eliminate(below[c], above[c], p0, p1)
+                     for c in range(len(below)) if c != 1)
 
     def compute(i: int) -> Element:
-        a0, a1 = a.at(i), a.at(i + 1)
-        u = first_undefined(a0, a1)
-        if u:
-            return propagated(u)
-        da = a1 - a0
-        if da == 0:
-            return a0
-        b0, b1 = b.at(i), b.at(i + 1)
-        u = first_undefined(b0, b1)
-        if u:
-            return propagated(u)
-        db = b1 - b0
-        if db == 0:
-            return Undefined(UndefinedReason.DIV_BY_ZERO)
-        return a0 - b0 * da / db
+        for m, level in enumerate(rows):
+            for x in range(i, i + k - m + 1):
+                if x not in level:  # rows are deterministic: write-once suffices
+                    level.setdefault(x, level_zero(x) if m == 0 else
+                                     eliminated(rows[m - 1][x], rows[m - 1][x + 1]))
+        return rows[k][i][0]
 
-    la, lb = a.length, b.length
-    if la is None and lb is None:
-        length = None
-    else:
-        length = max(min(x for x in (la, lb) if x is not None) - 1, 0)
+    length = None if r.length is None else max(r.length - k, 0)
     return NumStream(compute, length)
-
-
-def _g_table(kind: Kind, s: NumStream, convention: GConvention):
-    """Shared, memoized builder for the g(k, j) weight streams."""
-    cache: dict[tuple[int, int], NumStream] = {}
-
-    def g(k: int, j: int) -> NumStream:
-        key = (k, j)
-        if key not in cache:
-            if k == 0:
-                cache[key] = g_initial(kind, j, s, convention)
-            else:
-                cache[key] = _eliminate(g(k - 1, j), g(k - 1, k))
-        return cache[key]
-
-    return g
 
 
 def g_algorithm(
     kind: Kind, k: int, j: int, s: NumStream, convention: GConvention = GConvention.TEXT
 ) -> NumStream:
-    """Auxiliary weight stream g(k, j) of the E-algorithm."""
+    """Auxiliary weight stream g(k, j) of the E-algorithm (k >= 0, j >= 1)."""
     if k < 0:
         raise ValueError(f"order must be >= 0, got {k}")
-    return _g_table(kind, s, convention)(k, j)
+    if j < 1:
+        raise ValueError(f"weight column j must be >= 1, got {j}")
+    return _table(kind, k, s, convention, j)
 
 
 def e_algorithm(
@@ -190,11 +194,7 @@ def e_algorithm(
     """E-algorithm of order k; order 0 is the identity."""
     if k < 0:
         raise ValueError(f"order must be >= 0, got {k}")
-    g = _g_table(kind, s, convention)
-    e = s
-    for level in range(1, k + 1):
-        e = _eliminate(e, g(level - 1, level))
-    return e
+    return _table(kind, k, s, convention) if k else s
 
 
 def aitken(s: NumStream) -> NumStream:

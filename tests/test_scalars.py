@@ -9,7 +9,6 @@ from seqaccel.scalars import (
     UndefinedReason,
     add,
     div,
-    int_pow,
     is_defined,
     mul,
     parse_scalar,
@@ -101,22 +100,6 @@ class TestArithmetic:
         for op in ARITHMETIC_OPS.values():
             assert isinstance(op(u, a), Undefined)
             assert isinstance(op(b, u), Undefined)
-
-
-class TestIntPow:
-    def test_square_of_fraction(self):
-        assert int_pow(F(3, 2), 2) == F(9, 4)
-
-    def test_zeroth_power_is_one(self):
-        assert int_pow(F(7), 0) == F(1)
-        assert int_pow(F(0), 0) == F(1)
-
-    def test_large_power(self):
-        assert int_pow(F(2), 10) == F(1024)
-
-    def test_negative_exponent_rejected(self):
-        with pytest.raises(ValueError):
-            int_pow(F(2), -1)
 
 
 class TestRenderDecimal:

@@ -1,25 +1,33 @@
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from seqaccel import (
+    AtIndex,
     GConvention,
     Kind,
     Method,
+    NumStream,
     TransformSpec,
     Undefined,
     UndefinedReason,
+    accelerate_sequence,
     aitken,
     e_algorithm,
     from_function,
     from_values,
     g_algorithm,
-    g_initial,
     iota,
+    is_defined,
+    leibniz_pi4_terms,
     levin,
+    partial_sums,
     remainder_estimate,
+    take,
 )
 import oracles
 from conftest import (
@@ -67,39 +75,46 @@ class TestRemainderEstimate:
 
 
 class TestGInitial:
+    """Order-0 weights: g_algorithm(kind, 0, j, ·)."""
+
     def test_column_one_text_equals_remainder(self):
         s = from_values([5, 3, 9, 1, 7])
         for kind in KINDS:
-            got = g_initial(kind, 1, s, GConvention.TEXT)
+            got = g_algorithm(kind, 0, 1, s, GConvention.TEXT)
             want = remainder_estimate(kind, s)
             assert got.to_list() == want.to_list()
 
     def test_column_one_code_is_reciprocal_remainder(self):
         s = from_values([5, 3, 9, 1, 7])
         for kind in KINDS:
-            got = g_initial(kind, 1, s, GConvention.CODE)
+            got = g_algorithm(kind, 0, 1, s, GConvention.CODE)
             r = remainder_estimate(kind, s)
+            assert got.length == r.length
             for i in range(got.length):
                 assert got.at(i) == 1 / r.at(i)
 
     def test_text_divides_by_position_power(self):
-        s = from_values([0, 1, 3, 7])  # differences 1, 2, 4
-        out = g_initial(Kind.T, 2, s, GConvention.TEXT)
+        values = [0, 1, 3, 7]  # differences 1, 2, 4
+        out = g_algorithm(Kind.T, 0, 2, from_values(values), GConvention.TEXT)
         assert_stream_equals(out, [F(1), F(1), F(4, 3)])
+        assert_stream_equals(out, oracles.g0_list("t", 2, values, "text"))
 
     def test_code_divides_position_power_by_remainder(self):
-        s = from_values([0, 1, 3, 7])
-        out = g_initial(Kind.T, 2, s, GConvention.CODE)
+        values = [0, 1, 3, 7]
+        out = g_algorithm(Kind.T, 0, 2, from_values(values), GConvention.CODE)
         assert_stream_equals(out, [F(1), F(1), F(3, 4)])
+        assert_stream_equals(out, oracles.g0_list("t", 2, values, "code"))
 
     def test_code_flags_zero_remainder(self):
-        s = from_values([1, 1, 2, 3])
-        out = g_initial(Kind.T, 2, s, GConvention.CODE)
-        assert isinstance(out.at(0), Undefined)
+        values = [1, 1, 2, 3]
+        out = g_algorithm(Kind.T, 0, 2, from_values(values), GConvention.CODE)
+        assert out.at(0) == Undefined(UndefinedReason.DIV_BY_ZERO)
+        assert_stream_equals(out, oracles.g0_list("t", 2, values, "code"))
 
     def test_column_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            g_initial(Kind.T, 0, from_values([1, 2]), GConvention.TEXT)
+        for k in (0, 2):
+            with pytest.raises(ValueError):
+                g_algorithm(Kind.T, k, 0, from_values([1, 2]), GConvention.TEXT)
 
 
 class TestEAlgorithm:
@@ -110,11 +125,11 @@ class TestEAlgorithm:
             assert out.to_list() == s.to_list()
 
     def test_g_order_zero_is_initial_weights(self):
-        s = from_values([3, 1, 4, 1, 5])
-        for j in (1, 2, 3):
-            got = g_algorithm(Kind.U, 0, j, s, GConvention.TEXT)
-            want = g_initial(Kind.U, j, s, GConvention.TEXT)
-            assert got.to_list() == want.to_list()
+        values = [3, 1, 4, 1, 5]
+        for conv in CONVENTIONS:
+            for j in (1, 2, 3):
+                got = g_algorithm(Kind.U, 0, j, from_values(values), conv)
+                assert_stream_equals(got, oracles.g0_list("u", j, values, conv.value))
 
     def test_exact_on_geometric_error_model(self):
         s = from_function(lambda i: 1 + F(1, 2) ** i)
@@ -161,6 +176,86 @@ class TestEAlgorithm:
             want_g = oracles.galg_list(kind_code(kind), k, j, values, conv.value)
             got_g = stream_cells(g_algorithm(kind, k, j, s, conv), len(want_g))
             assert got_g == want_g, (values, kind, conv, k, j)
+
+    @pytest.mark.parametrize("kind", KINDS, ids=kind_code)
+    def test_cell_forces_its_whole_window(self, kind):
+        # Cell i of order k >= 1 reads s[i..i+k+1] (t, u) or s[i..i+k+2]
+        # (v), also where the short-circuit rule leaves a pivot unused.
+        extra = 3 if kind is Kind.V else 2
+        for source in (from_function(lambda i: F(1, i * i + 3)), iota(F(1, 2), 0)):
+            for k in range(1, 6):
+                for i in (0, 3):
+                    spec = TransformSpec(Method.EALG, kind, k)
+                    report = accelerate_sequence(spec, source, mode=AtIndex(i))
+                    assert report.terms_used == i + k + extra, (source, k, i)
+
+    def test_stack_depth_does_not_grow_with_order(self):
+        # A cell fills the table in loops, so its depth does not depend on k.
+        out = e_algorithm(Kind.T, 20, from_function(lambda i: F(1, i * i + 3)))
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 30)
+        try:
+            cell = out.at(0)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert is_defined(cell)
+
+    def test_stream_count_does_not_grow_with_order(self, monkeypatch):
+        built = []
+        init = NumStream.__init__
+
+        def counting_init(stream, *args, **kwargs):
+            built.append(stream)
+            init(stream, *args, **kwargs)
+
+        counts = []
+        for k in (4, 8, 16):
+            s = from_function(lambda i: F(1, i * i + 3))
+            with monkeypatch.context() as m:
+                m.setattr(NumStream, "__init__", counting_init)
+                e_algorithm(Kind.V, k, s).at(0)
+            counts.append(len(built))
+            built.clear()
+        assert counts[0] == counts[1] == counts[2]
+
+
+class TestSharedTable:
+    @pytest.mark.parametrize("conv", CONVENTIONS, ids=lambda c: c.value)
+    @pytest.mark.parametrize("kind", KINDS, ids=kind_code)
+    def test_concurrent_readers_agree_with_oracle(self, kind, conv):
+        sums = take(partial_sums(leibniz_pi4_terms()), 60)
+        want = oracles.ealg_list(
+            kind_code(kind), 6,
+            take(partial_sums(leibniz_pi4_terms()), 60).to_list(), conv.value)
+        out = e_algorithm(kind, 6, sums, conv)
+        assert out.length == len(want)
+        start = threading.Barrier(8)
+        seen = {}
+
+        def read(reader: int) -> None:
+            order = range(len(want))
+            start.wait(timeout=60)
+            cells = {i: out.at(i) for i in (order if reader % 2 else reversed(order))}
+            seen[reader] = [None if isinstance(cells[i], Undefined) else cells[i]
+                            for i in order]
+
+        threads = [threading.Thread(target=read, args=(r,)) for r in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(seen) == list(range(8))
+        for cells in seen.values():
+            assert cells == want
 
 
 class TestAitken:
