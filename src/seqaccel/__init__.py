@@ -6,7 +6,6 @@ lazy memoizing streams of arbitrary-precision rational numbers. See
 README.md for the worked examples and the CLI.
 """
 from .scalars import (
-    ARITHMETIC_OPS,
     Element,
     Scalar,
     Undefined,
@@ -27,7 +26,6 @@ from .streams import (
     iota,
     last_defined,
     partial_sums,
-    stream_map,
     stream_tail,
     take,
     zip_with,
@@ -45,10 +43,7 @@ from .transforms import (
 )
 from .sequences import (
     BUILTIN_SEQUENCES,
-    BuiltinSource,
-    FileSource,
     SequenceParseError,
-    SequenceSource,
     alternating_naturals_terms,
     catalan_stream,
     grandi_terms,

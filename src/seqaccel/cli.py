@@ -27,7 +27,7 @@ from .estimators import (
     sum_series,
 )
 from .scalars import is_defined, render_decimal
-from .sequences import BUILTIN_SEQUENCES, BuiltinSource, FileSource, open_source
+from .sequences import BUILTIN_SEQUENCES, load_sequence, open_source
 from .streams import take
 from .transforms import GConvention, Kind, Method, TransformSpec
 
@@ -111,8 +111,8 @@ def _build_spec(args) -> TransformSpec:
 
 def _resolve_source(args):
     if args.generator is not None:
-        return open_source(BuiltinSource(args.generator))
-    return open_source(FileSource(args.input))
+        return open_source(args.generator)
+    return load_sequence(args.input)
 
 
 def _check_terms(args) -> None:

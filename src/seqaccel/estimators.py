@@ -6,7 +6,10 @@ subexponential) by accelerating the ratio sequence s[n+1]/s[n];
 accelerating its partial sums; `accelerate_sequence` applies an
 accelerator to raw input unchanged. All three return an
 `AccelerationReport` carrying the exact estimate, its decimal rendering
-and a cheap stability diagnostic.
+and a cheap stability diagnostic. All three take the source as a
+`NumStream`; `sequences.open_source` and `sequences.load_sequence` make
+one from a built-in name or a file. Each report builds its pipeline once
+and reads each source cell once.
 
 Two evaluation modes exist. `TakeLast` truncates the input to its first
 n terms, transforms, and reads the last defined cell - the batch shape
@@ -21,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from .scalars import Element, Undefined, UndefinedReason, div, is_defined, render_decimal
-from .sequences import SequenceSource, open_source
 from .streams import NumStream, last_defined, partial_sums, take
 from .transforms import TransformSpec
 
@@ -66,9 +68,12 @@ class AccelerationReport:
     """Outcome of one accelerated run.
 
     `terms_used` counts the source elements actually forced (measured, not
-    assumed). `digits_stable` counts how many leading significant digits
-    survive rerunning with one term (or one output index) less; 0 when the
-    comparison run has no defined value.
+    assumed) by the estimate. `digits_stable` counts how many leading
+    significant digits the estimate shares with the previous output cell
+    of the same run: the last defined cell of the stream cut one cell
+    shorter (TakeLast), or cell i-1 (AtIndex(i)). That is the value a run
+    with one term (or one output index) less gives. It is 0 when that
+    cell is undefined or does not exist.
     """
 
     transform: TransformSpec
@@ -108,24 +113,6 @@ def _counted(s: NumStream) -> tuple[NumStream, Callable[[], int]]:
     return NumStream(compute, s.length), lambda: max(forced) + 1 if forced else 0
 
 
-def _evaluate(
-    transform: TransformSpec,
-    source: NumStream,
-    prepare: Callable[[NumStream], NumStream],
-    n_terms: Optional[int],
-    mode: EvaluationMode,
-) -> tuple[Element, int]:
-    """Run one pipeline; returns (estimate, source cells consumed)."""
-    counted, consumed = _counted(source)
-    if isinstance(mode, TakeLast):
-        stream = transform.apply(prepare(take(counted, n_terms)))
-        estimate = last_defined(stream)
-    else:
-        stream = transform.apply(prepare(counted))
-        estimate = stream.at(mode.index)
-    return estimate, consumed()
-
-
 def _stable_digits(current: Element, previous: Element, up_to: int) -> int:
     """Leading significant digits on which the two renderings agree."""
     if not (is_defined(current) and is_defined(previous)):
@@ -157,28 +144,31 @@ def _report(
                 f"source provides {source.length} terms, {n_terms} requested"
             )
 
-    estimate, consumed = _evaluate(transform, source, prepare, n_terms, mode)
-
-    # Stability diagnostic: same pipeline, one step shorter.
+    counted, consumed = _counted(source)
     if isinstance(mode, TakeLast):
-        comparable = n_terms - 1 >= min_terms and (
-            source.length is None or source.length >= n_terms - 1
-        )
-        previous = (
-            _evaluate(transform, source, prepare, n_terms - 1, mode)[0]
-            if comparable
-            else Undefined(UndefinedReason.OUT_OF_RANGE)
-        )
+        stream = transform.apply(prepare(take(counted, n_terms)))
+        estimate = last_defined(stream)
     else:
-        previous = (
-            _evaluate(transform, source, prepare, n_terms, AtIndex(mode.index - 1))[0]
-            if mode.index > 0
-            else Undefined(UndefinedReason.OUT_OF_RANGE)
-        )
+        stream = transform.apply(prepare(counted))
+        estimate = stream.at(mode.index)
+    # Before the stability read, which may force cells the estimate did not.
+    terms_used = consumed()
+
+    # Stability diagnostic: the run one step shorter. Every in-range output
+    # cell of ratio_stream, partial_sums, levin and e_algorithm reads only
+    # in-range input cells, so the (n-1)-term pipeline is this stream cut
+    # one cell shorter, and the (i-1) run is this stream's cell i-1. At
+    # n = min_terms the stream has at most one cell, so the cut is empty.
+    if isinstance(mode, TakeLast):
+        previous = last_defined(take(stream, max(stream.length - 1, 0)))
+    elif mode.index > 0:
+        previous = stream.at(mode.index - 1)
+    else:
+        previous = Undefined(UndefinedReason.OUT_OF_RANGE)
 
     return AccelerationReport(
         transform=transform,
-        terms_used=consumed,
+        terms_used=terms_used,
         estimate=estimate,
         rendered=render_decimal(estimate, digits),
         digits_stable=_stable_digits(estimate, previous, digits),
@@ -187,7 +177,7 @@ def _report(
 
 def growth_coefficient(
     transform: TransformSpec,
-    source: Union[SequenceSource, NumStream],
+    source: NumStream,
     n_terms: Optional[int] = None,
     *,
     digits: int = 10,
@@ -198,28 +188,28 @@ def growth_coefficient(
     Takes n terms, forms the ratio stream, accelerates it, and reads the
     result per `mode`. Needs n >= 2 in TakeLast mode.
     """
-    return _report(transform, open_source(source), ratio_stream, n_terms, mode, digits, 2)
+    return _report(transform, source, ratio_stream, n_terms, mode, digits, 2)
 
 
 def sum_series(
     transform: TransformSpec,
-    terms: Union[SequenceSource, NumStream],
+    terms: NumStream,
     n_terms: Optional[int] = None,
     *,
     digits: int = 10,
     mode: EvaluationMode = TakeLast(),
 ) -> AccelerationReport:
     """Sum a series (convergent or divergent) by accelerating partial sums."""
-    return _report(transform, open_source(terms), partial_sums, n_terms, mode, digits, 1)
+    return _report(transform, terms, partial_sums, n_terms, mode, digits, 1)
 
 
 def accelerate_sequence(
     transform: TransformSpec,
-    source: Union[SequenceSource, NumStream],
+    source: NumStream,
     n_terms: Optional[int] = None,
     *,
     digits: int = 10,
     mode: EvaluationMode = TakeLast(),
 ) -> AccelerationReport:
     """Apply an accelerator to the raw input sequence, no preprocessing."""
-    return _report(transform, open_source(source), lambda s: s, n_terms, mode, digits, 1)
+    return _report(transform, source, lambda s: s, n_terms, mode, digits, 1)

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 Scalar = Fraction
 
@@ -32,7 +32,6 @@ __all__ = [
     "sub",
     "mul",
     "div",
-    "ARITHMETIC_OPS",
     "render_decimal",
     "parse_scalar",
 ]
@@ -127,14 +126,6 @@ def div(a: Element, b: Element) -> Element:
             return Undefined(UndefinedReason.INDETERMINATE_ZERO_OVER_ZERO)
         return Undefined(UndefinedReason.DIV_BY_ZERO)
     return a / b
-
-
-ARITHMETIC_OPS: dict[str, Callable[[Element, Element], Element]] = {
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "div": div,
-}
 
 
 _SCALAR_RE = re.compile(r"[+-]?\d+(?:/\d+|\.\d+)?")

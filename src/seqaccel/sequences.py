@@ -5,7 +5,8 @@ counts of plain lambda terms by size (OEIS A114851), term streams of two
 classical divergent series, and the Leibniz series for pi/4 as a
 convergent benchmark. Values are always generated from their defining
 recurrences, never hard-coded, so each generator can be falsified
-against an independent source.
+against an independent source. `open_source(name)` looks a built-in up
+by its CLI name.
 
 External data arrives through `load_sequence`: one value per line,
 integers, "p/q" rationals or plain decimals, "#" comments and blank
@@ -14,10 +15,9 @@ lines ignored.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Union
+from typing import Callable
 
 from .scalars import parse_scalar
 from .streams import NumStream, from_function, from_values
@@ -29,9 +29,6 @@ __all__ = [
     "alternating_naturals_terms",
     "leibniz_pi4_terms",
     "BUILTIN_SEQUENCES",
-    "BuiltinSource",
-    "FileSource",
-    "SequenceSource",
     "open_source",
     "SequenceParseError",
     "load_sequence",
@@ -102,43 +99,14 @@ BUILTIN_SEQUENCES: dict[str, Callable[[], NumStream]] = {
 }
 
 
-@dataclass(frozen=True)
-class BuiltinSource:
-    name: str
-
-    @property
-    def description(self) -> str:
-        return f"builtin sequence {self.name!r}"
-
-
-@dataclass(frozen=True)
-class FileSource:
-    path: Path
-
-    @property
-    def description(self) -> str:
-        return f"sequence file {str(self.path)!r}"
-
-
-SequenceSource = Union[BuiltinSource, FileSource]
-
-
-def open_source(source: Union[SequenceSource, NumStream]) -> NumStream:
-    """Resolve a source descriptor (or pass a stream through unchanged)."""
-    if isinstance(source, NumStream):
-        return source
-    if isinstance(source, BuiltinSource):
-        try:
-            factory = BUILTIN_SEQUENCES[source.name]
-        except KeyError:
-            known = ", ".join(sorted(BUILTIN_SEQUENCES))
-            raise ValueError(
-                f"unknown builtin sequence {source.name!r} (known: {known})"
-            ) from None
-        return factory()
-    if isinstance(source, FileSource):
-        return load_sequence(source.path)
-    raise TypeError(f"not a sequence source: {source!r}")
+def open_source(name: str) -> NumStream:
+    """A fresh stream of the built-in sequence called `name`."""
+    try:
+        factory = BUILTIN_SEQUENCES[name]
+    except KeyError:
+        known = ", ".join(sorted(BUILTIN_SEQUENCES))
+        raise ValueError(f"unknown builtin sequence {name!r} (known: {known})") from None
+    return factory()
 
 
 class SequenceParseError(ValueError):

@@ -35,7 +35,6 @@ __all__ = [
     "take",
     "stream_tail",
     "zip_with",
-    "stream_map",
     "forward_difference",
     "partial_sums",
     "last_defined",
@@ -133,10 +132,6 @@ def _min_extent(a: Optional[int], b: Optional[int]) -> Optional[int]:
 def zip_with(f: Callable[[Element, Element], Element], a: NumStream, b: NumStream) -> NumStream:
     """Cell i is f(a[i], b[i]); extent is the shorter of the two."""
     return NumStream(lambda i: f(a.at(i), b.at(i)), _min_extent(a.length, b.length))
-
-
-def stream_map(f: Callable[[Element], Element], s: NumStream) -> NumStream:
-    return NumStream(lambda i: f(s.at(i)), s.length)
 
 
 def forward_difference(s: NumStream) -> NumStream:

@@ -1,23 +1,32 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from seqaccel import (
     AtIndex,
+    GConvention,
     InsufficientTermsError,
     Kind,
     Method,
     NumStream,
+    TakeLast,
     TransformSpec,
     Undefined,
+    UndefinedReason,
     accelerate_sequence,
+    catalan_stream,
     from_function,
     from_values,
     grandi_terms,
     growth_coefficient,
+    is_defined,
+    last_defined,
     leibniz_pi4_terms,
     partial_sums,
     ratio_stream,
+    render_decimal,
     sum_series,
     take,
 )
@@ -32,6 +41,13 @@ LEVIN_T1 = TransformSpec(Method.LEVIN, Kind.T, 1)
 EALG_T2 = TransformSpec(Method.EALG, Kind.T, 2)
 EALG_U4 = TransformSpec(Method.EALG, Kind.U, 4)
 
+# entry point: (preparation, minimum take-last terms)
+PIPELINES = {
+    growth_coefficient: (ratio_stream, 2),
+    sum_series: (partial_sums, 1),
+    accelerate_sequence: (lambda s: s, 1),
+}
+
 
 def counting_stream(fn, length=None):
     forced = []
@@ -41,6 +57,49 @@ def counting_stream(fn, length=None):
         return fn(i)
 
     return NumStream(compute, length), forced
+
+
+class ReadCountingStream(NumStream):
+    """Source that counts the `at(i)` calls made on it, per index."""
+
+    def __init__(self, compute, length=None):
+        super().__init__(compute, length)
+        self.reads = Counter()
+
+    def at(self, i):
+        self.reads[i] += 1
+        return super().at(i)
+
+
+def reference_report(run, spec, fn, length, n_terms, mode, digits):
+    """(estimate, terms_used, digits_stable) from an explicit rerun.
+
+    Runs the pipeline from public functions on a fresh source, then runs
+    it again with n - 1 terms (TakeLast) or at index i - 1 (AtIndex(i))
+    and counts the leading renderings on which the two values agree.
+    """
+    prepare, min_terms = PIPELINES[run]
+
+    def evaluate(count, at):
+        source, forced = counting_stream(fn, length)
+        if at is None:
+            value = last_defined(spec.apply(prepare(take(source, count))))
+        else:
+            value = spec.apply(prepare(source)).at(at)
+        return value, max(forced) + 1 if forced else 0
+
+    if isinstance(mode, TakeLast):
+        estimate, used = evaluate(n_terms, None)
+        previous = evaluate(n_terms - 1, None)[0] if n_terms - 1 >= min_terms else None
+    else:
+        estimate, used = evaluate(None, mode.index)
+        previous = evaluate(None, mode.index - 1)[0] if mode.index > 0 else None
+    stable = 0
+    if previous is not None and is_defined(previous) and is_defined(estimate):
+        while (stable < digits and render_decimal(estimate, stable + 1)
+               == render_decimal(previous, stable + 1)):
+            stable += 1
+    return estimate, used, stable
 
 
 class TestRatioStream:
@@ -166,6 +225,49 @@ class TestAccelerateSequence:
 
 
 class TestReports:
+    def test_readme_library_tour(self):
+        report = growth_coefficient(LEVIN_U2, catalan_stream(), 800)
+        assert report.rendered == "4.000000024"
+        assert report.digits_stable == 10
+
+    @pytest.mark.parametrize("mode", [TakeLast(), AtIndex(5)], ids=["take-last", "at-index-5"])
+    @pytest.mark.parametrize("spec", [LEVIN_U2, TransformSpec(Method.EALG, Kind.V, 3)],
+                             ids=["levin-u2", "ealg-v3"])
+    @pytest.mark.parametrize("run", list(PIPELINES), ids=lambda f: f.__name__)
+    def test_each_source_cell_read_once(self, run, spec, mode):
+        source = ReadCountingStream(lambda i: F(3) ** i + F(1, i + 1))
+        run(spec, source, 20, mode=mode)
+        assert source.reads
+        assert set(source.reads.values()) == {1}
+
+    @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+    @pytest.mark.parametrize("run", list(PIPELINES), ids=lambda f: f.__name__)
+    def test_digits_stable_matches_explicit_rerun(self, run, method):
+        u = Undefined(UndefinedReason.DIV_BY_ZERO)
+        rng = random.Random(11)
+        noisy = [rng.choice([0, 1, 1, -2, 3, F(1, 2), u]) for _ in range(12)]
+        sources = [
+            (from_values([1, 3, 0, 4, 4, 4, 9, 2, 0, 7, 5, 11]).at, 12),
+            (from_values([2, 2, 2, 5, u, 6, 1, 3, 3, 8]).at, 10),
+            (from_values([0, 0, 1, 1, 2, 5, 14, 42, 132, 429, 1430]).at, 11),
+            (from_values(noisy).at, 12),
+            (lambda i: F(1, i * i + 3) + F(-1, 2) ** i, None),
+        ]
+        _, min_terms = PIPELINES[run]
+        for kind in Kind:
+            for order in range(5):
+                conv = list(GConvention)[order % 2]
+                spec = TransformSpec(method, kind, order, g_convention=conv)
+                for fn, length in sources:
+                    n_max = length or 12
+                    cases = [(TakeLast(), n) for n in (min_terms, n_max - 3, n_max)]
+                    cases += [(AtIndex(0), None), (AtIndex(3), None)]
+                    for mode, n in cases:
+                        report = run(spec, NumStream(fn, length), n, mode=mode, digits=6)
+                        want = reference_report(run, spec, fn, length, n, mode, 6)
+                        got = (report.estimate, report.terms_used, report.digits_stable)
+                        assert repr(got) == repr(want), (spec, length, mode, n)
+
     def test_rendered_respects_digit_request(self):
         source = from_function(lambda i: F(3) ** i)
         report = growth_coefficient(LEVIN_T1, source, 10, digits=4)

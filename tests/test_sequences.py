@@ -1,12 +1,12 @@
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
 from seqaccel import (
     BUILTIN_SEQUENCES,
-    BuiltinSource,
-    FileSource,
     SequenceParseError,
     Undefined,
     UndefinedReason,
@@ -115,6 +115,39 @@ class TestLeibnizTerms:
             assert abs(sums.at(n - 1) - reference) < F(1, 2 * n + 1)
 
 
+class TestSharedRecurrence:
+    @pytest.mark.parametrize("make,oracle", [
+        (catalan_stream, oracles.catalan_list),
+        (plain_lambda_terms_stream, oracles.plain_lambda_list),
+    ], ids=["catalan", "plain-lambda"])
+    def test_concurrent_readers_agree_with_oracle(self, make, oracle):
+        want = oracle(120)
+        stream = make()
+        start = threading.Barrier(8)
+        seen = {}
+
+        def read(reader: int) -> None:
+            order = range(len(want))
+            start.wait(timeout=60)
+            cells = {i: stream.at(i) for i in (order if reader % 2 else reversed(order))}
+            seen[reader] = [cells[i] for i in order]
+
+        threads = [threading.Thread(target=read, args=(r,)) for r in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(seen) == list(range(8))
+        for cells in seen.values():
+            assert cells == want
+
+
 class TestRegistryAndSources:
     def test_registry_names(self):
         assert set(BUILTIN_SEQUENCES) == {
@@ -126,22 +159,12 @@ class TestRegistryAndSources:
         }
 
     def test_open_builtin(self):
-        s = open_source(BuiltinSource("catalan"))
+        s = open_source("catalan")
         assert s.at(3) == 5
 
     def test_open_unknown_builtin(self):
         with pytest.raises(ValueError, match="unknown builtin"):
-            open_source(BuiltinSource("fibonacci"))
-
-    def test_open_file_source(self, tmp_path):
-        path = tmp_path / "seq.txt"
-        path.write_text("1\n2\n")
-        s = open_source(FileSource(path))
-        assert s.to_list() == [1, 2]
-
-    def test_descriptions(self):
-        assert "catalan" in BuiltinSource("catalan").description
-        assert "seq.txt" in FileSource("seq.txt").description
+            open_source("fibonacci")
 
 
 class TestLoadSequence:

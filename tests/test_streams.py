@@ -14,7 +14,6 @@ from seqaccel import (
     iota,
     last_defined,
     partial_sums,
-    stream_map,
     stream_tail,
     take,
     zip_with,
@@ -114,13 +113,6 @@ class TestCombinators:
     def test_repeat_const_prefix(self):
         # A repeated constant is the zero-step progression iota(c, 0).
         assert iota(1, 0).prefix(3) == [1, 1, 1]
-
-    def test_stream_map(self):
-        doubled = stream_map(lambda e: mul(e, F(2)), from_values([1, 2, 3]))
-        assert_stream_equals(doubled, [2, 4, 6])
-        u = Undefined(UndefinedReason.DIV_BY_ZERO)
-        passed_through = stream_map(lambda e: mul(e, F(2)), from_values([1, u]))
-        assert isinstance(passed_through.at(1), Undefined)
 
     def test_take(self):
         assert_stream_equals(take(iota(1, 1), 3), [1, 2, 3])
