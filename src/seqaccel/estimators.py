@@ -23,7 +23,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
-from .scalars import Element, Undefined, UndefinedReason, div, is_defined, render_decimal
+from .scalars import (
+    Element,
+    Undefined,
+    UndefinedReason,
+    _ilog10,
+    _round_significant,
+    div,
+    is_defined,
+    render_decimal,
+)
 from .streams import NumStream, last_defined, partial_sums, take
 from .transforms import TransformSpec
 
@@ -114,12 +123,20 @@ def _counted(s: NumStream) -> tuple[NumStream, Callable[[], int]]:
 
 
 def _stable_digits(current: Element, previous: Element, up_to: int) -> int:
-    """Leading significant digits on which the two renderings agree."""
+    """Leading significant digits on which the two renderings agree.
+
+    A rendering at d digits is fixed by the rounded (sign, mantissa,
+    exponent), so the renderings agree exactly when those tuples do; each
+    value's exponent is found once for all d.
+    """
     if not (is_defined(current) and is_defined(previous)):
         return 0
+    if current == 0 or previous == 0:
+        return up_to if current == previous else 0
+    e_cur, e_prev = _ilog10(current), _ilog10(previous)
     agreed = 0
     for d in range(1, up_to + 1):
-        if render_decimal(current, d) != render_decimal(previous, d):
+        if _round_significant(current, d, e_cur) != _round_significant(previous, d, e_prev):
             break
         agreed = d
     return agreed

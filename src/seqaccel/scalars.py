@@ -146,8 +146,9 @@ def parse_scalar(text: str) -> Scalar:
         raise ValueError(f"zero denominator in literal: {token!r}") from None
 
 
-def _ilog10(p: int, q: int) -> int:
-    """floor(log10(p/q)) for positive integers, exactly."""
+def _ilog10(value: Fraction) -> int:
+    """floor(log10(|value|)) for nonzero `value`, exactly."""
+    p, q = abs(value.numerator), value.denominator
     e = len(str(p)) - len(str(q))  # within 1 of the answer
     while not _at_least_pow10(p, q, e):
         e -= 1
@@ -167,6 +168,23 @@ def _round_half_even(num: int, den: int) -> int:
     return q
 
 
+def _round_significant(value: Fraction, d: int, e: int) -> tuple[str, int, int]:
+    """Sign, d-digit mantissa and exponent of nonzero `value`, ties to even.
+
+    `e` must be floor(log10(|value|)), so one exponent serves every d.
+    """
+    p, q = abs(value.numerator), value.denominator
+    shift = d - 1 - e
+    if shift >= 0:
+        m = _round_half_even(p * 10 ** shift, q)
+    else:
+        m = _round_half_even(p, q * 10 ** (-shift))
+    if m == 10 ** d:  # rounding rolled over, e.g. 0.99996 -> 1.0000
+        m //= 10
+        e += 1
+    return "-" if value < 0 else "", m, e
+
+
 def render_decimal(value: Element, sig_digits: int) -> str:
     """Render with exactly `sig_digits` significant digits, ties to even.
 
@@ -183,17 +201,7 @@ def render_decimal(value: Element, sig_digits: int) -> str:
     if value == 0:
         return "0" if sig_digits == 1 else "0." + "0" * (sig_digits - 1)
 
-    sign = "-" if value < 0 else ""
-    p, q = abs(value.numerator), value.denominator
-    e = _ilog10(p, q)
-    shift = sig_digits - 1 - e
-    if shift >= 0:
-        m = _round_half_even(p * 10 ** shift, q)
-    else:
-        m = _round_half_even(p, q * 10 ** (-shift))
-    if m == 10 ** sig_digits:  # rounding rolled over, e.g. 0.99996 -> 1.0000
-        m //= 10
-        e += 1
+    sign, m, e = _round_significant(value, sig_digits, _ilog10(value))
     digits = str(m)
 
     if 0 <= e < sig_digits:

@@ -3,10 +3,13 @@
 The built-ins cover the library's worked examples: Catalan numbers,
 counts of plain lambda terms by size (OEIS A114851), term streams of two
 classical divergent series, and the Leibniz series for pi/4 as a
-convergent benchmark. Values are always generated from their defining
-recurrences, never hard-coded, so each generator can be falsified
-against an independent source. `open_source(name)` looks a built-in up
-by its CLI name.
+convergent benchmark. Values are always computed, never hard-coded.
+Both integer sequences are defined by an O(n^2) convolution but
+generated by a linear recurrence with polynomial coefficients, so n
+terms cost O(n) big-integer operations; the tests check each generator
+against its defining convolution (`tests/oracles.py`), and Catalan also
+against the closed form. `open_source(name)` looks a built-in up by its
+CLI name.
 
 External data arrives through `load_sequence`: one value per line,
 integers, "p/q" rationals or plain decimals, "#" comments and blank
@@ -50,11 +53,15 @@ def _recurrence_stream(seed: list[int], extend: Callable[[list[int]], int]) -> N
 
 
 def catalan_stream() -> NumStream:
-    """Catalan numbers 1, 1, 2, 5, 14, ... via the convolution recurrence."""
+    """Catalan numbers 1, 1, 2, 5, 14, ...
+
+    Defined by C[0] = 1, C[n] = sum_{j<n} C[j]*C[n-1-j]; generated by
+    C[n] = C[n-1] * 2(2n-1) / (n+1), where the division is exact.
+    """
 
     def extend(c: list[int]) -> int:
         n = len(c)
-        return sum(c[j] * c[n - 1 - j] for j in range(n))
+        return c[-1] * 2 * (2 * n - 1) // (n + 1)
 
     return _recurrence_stream([1], extend)
 
@@ -62,16 +69,35 @@ def catalan_stream() -> NumStream:
 def plain_lambda_terms_stream() -> NumStream:
     """Counts of plain lambda terms by size (OEIS A114851).
 
-    S[0] = S[1] = 0 and S[n+2] = 1 + S[n] + sum_{k<=n} S[k]*S[n-k], for the
-    size convention where abstractions and applications weigh 2 and a
-    variable weighs 1 plus its binder depth.
+    Defined by S[0] = S[1] = 0 and S[n+2] = 1 + S[n] + sum_{k<=n} S[k]*S[n-k],
+    for the size convention where abstractions and applications weigh 2
+    and a variable weighs 1 plus its binder depth. The generating function
+    is algebraic, x^2 S^2 + (x^2 - 1) S + x^2/(1 - x) = 0, so the counts are
+    D-finite and, from the seed 0, 0, 1, 1, 2, 2, follow
+
+        (n+8) S[n+6] = (2n+14) S[n+5] + (n+4) S[n+4] - (4n+16) S[n+3]
+                       + (5n+12) S[n+2] - (2n+4) S[n+1] - n S[n].
+
+    The division by n+8 is exact; a remainder raises ArithmeticError
+    rather than rounding a count.
     """
 
     def extend(v: list[int]) -> int:
-        n = len(v) - 2
-        return 1 + v[n] + sum(v[k] * v[n - k] for k in range(n + 1))
+        n = len(v) - 6
+        total = (
+            (2 * n + 14) * v[n + 5]
+            + (n + 4) * v[n + 4]
+            - (4 * n + 16) * v[n + 3]
+            + (5 * n + 12) * v[n + 2]
+            - (2 * n + 4) * v[n + 1]
+            - n * v[n]
+        )
+        count, remainder = divmod(total, n + 8)
+        if remainder:
+            raise ArithmeticError(f"plain-lambda recurrence not exact at index {n + 6}")
+        return count
 
-    return _recurrence_stream([0, 0], extend)
+    return _recurrence_stream([0, 0, 1, 1, 2, 2], extend)
 
 
 def grandi_terms() -> NumStream:

@@ -31,6 +31,8 @@ from seqaccel import (
     take,
 )
 
+from seqaccel.estimators import _stable_digits
+
 import oracles
 from conftest import assert_stream_equals
 
@@ -286,6 +288,68 @@ class TestReports:
         report = sum_series(ident, terms, 6, digits=8)
         assert report.estimate == F(63, 32)
         assert report.digits_stable == 1
+
+    def test_stable_digits_matches_rendering_loop(self):
+        def explicit(current, previous, up_to):
+            # Render both at each precision and stop at the first difference.
+            if not (is_defined(current) and is_defined(previous)):
+                return 0
+            agreed = 0
+            for d in range(1, up_to + 1):
+                if render_decimal(current, d) != render_decimal(previous, d):
+                    break
+                agreed = d
+            return agreed
+
+        rng = random.Random(23)
+        u = Undefined(UndefinedReason.DIV_BY_ZERO)
+
+        def scaled(x):
+            return x * F(10) ** rng.randint(-9, 14)
+
+        def partner(x):
+            roll = rng.randrange(6)
+            if roll == 0:  # near-tie: nudge by up to 60 parts in 10^1 .. 10^14
+                return x * (1 + F(rng.randint(-60, 60), 10 ** rng.randint(1, 14)))
+            if roll == 1:
+                return -x
+            if roll == 2:
+                return rng.choice([F(0), u, x])
+            if roll == 3:  # exact halfway point at a random precision
+                k = rng.randint(1, 12)
+                return F(rng.randint(10 ** (k - 1), 10 ** k - 1) * 10 + 5, 10 ** (k + 1))
+            return scaled(F(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6)))
+
+        pairs = [
+            (F(1949, 10000), F(1951, 10000)),
+            (F(99996, 100000), F(1)),
+            (F(99996, 100000), F(99994, 100000)),
+            (F(-99996, 10 ** 9), F(-1, 10 ** 4)),
+            (F(0), F(0)),
+            (F(0), u),
+            (u, u),
+        ]
+        for _ in range(2000):
+            base = rng.randrange(3)
+            if base == 0:  # just below a power of ten: rounds up and rolls over
+                x = scaled(1 - F(rng.randint(1, 9), 10 ** rng.randint(2, 12)))
+            elif base == 1:
+                x = scaled(F(rng.randint(1, 10 ** 9), rng.randint(1, 10 ** 9)))
+            else:
+                x = F(rng.randint(-(10 ** 12), 10 ** 12), rng.randint(1, 10 ** 4))
+            pairs.append((x, partner(x)) if rng.random() < 0.5 else (partner(x), x))
+
+        counts = Counter()
+        for current, previous in pairs:
+            up_to = rng.randint(1, 15)
+            want = explicit(current, previous, up_to)
+            assert _stable_digits(current, previous, up_to) == want, (current, previous, up_to)
+            counts[want] += 1
+            if is_defined(current) and current != 0:
+                counts["scientific" if "e" in render_decimal(current, up_to) else "positional"] += 1
+        # The sample reaches both notations and agreement counts 0 through 12.
+        assert counts["scientific"] > 100 and counts["positional"] > 100
+        assert all(counts[k] > 0 for k in range(0, 13))
 
     def test_pi_quarter_benchmark_beats_raw_sums(self):
         reference = oracles.pi_quarter_reference()

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 import threading
@@ -43,6 +44,11 @@ class TestCatalan:
         for n in range(51):
             assert s.at(n + 1) * (n + 2) == s.at(n) * (4 * n + 2)
 
+    def test_closed_form_to_2000(self):
+        # Independent of the generator's product recurrence.
+        got = catalan_stream().prefix(2001)
+        assert got == [math.comb(2 * n, n) // (n + 1) for n in range(2001)]
+
     def test_purity(self):
         a, b = catalan_stream(), catalan_stream()
         assert a.prefix(30) == b.prefix(30)
@@ -61,9 +67,12 @@ class TestPlainLambdaTerms:
         s = plain_lambda_terms_stream()
         rng = random.Random(5)
         for _ in range(10):
-            n = rng.randint(0, 60)
+            n = rng.randint(0, 500)
             convolution = sum(s.at(k) * s.at(n - k) for k in range(n + 1))
             assert s.at(n + 2) == 1 + s.at(n) + convolution
+
+    def test_against_convolution_oracle_to_1200(self):
+        assert plain_lambda_terms_stream().prefix(1200) == oracles.plain_lambda_list(1200)
 
     def test_growth_digit_band_at_300(self):
         count = plain_lambda_terms_stream().at(300)
