@@ -44,6 +44,7 @@ from .transforms import (
 from .sequences import (
     BUILTIN_SEQUENCES,
     SequenceParseError,
+    UnknownSequenceError,
     alternating_naturals_terms,
     catalan_stream,
     grandi_terms,

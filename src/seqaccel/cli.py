@@ -1,4 +1,4 @@
-"""Command-line interface.
+"""Command-line interface: ``seqaccel <command>`` or ``python -m seqaccel <command>``.
 
 Four subcommands share one option vocabulary:
 
@@ -10,7 +10,8 @@ Four subcommands share one option vocabulary:
 Output is plain text, one result per line, "." as the decimal separator,
 byte-identical across repeated invocations. Exit codes: 0 for a defined
 result, 2 when the requested cell is undefined, 1 for usage or input
-errors.
+errors ("seqaccel: error: ..."), 3 for an internal failure (its traceback,
+then "seqaccel: internal error: <Type>: ...").
 """
 from __future__ import annotations
 
@@ -18,20 +19,23 @@ import argparse
 import sys
 from pathlib import Path
 
-from .estimators import (
-    AtIndex,
-    EvaluationMode,
-    TakeLast,
-    accelerate_sequence,
-    growth_coefficient,
-    sum_series,
-)
+from .estimators import (AtIndex, EvaluationMode, InsufficientTermsError, TakeLast,
+                         accelerate_sequence, growth_coefficient, sum_series)
 from .scalars import is_defined, render_decimal
-from .sequences import BUILTIN_SEQUENCES, load_sequence, open_source
+from .sequences import (BUILTIN_SEQUENCES, SequenceParseError, UnknownSequenceError,
+                        load_sequence, open_source)
 from .streams import take
 from .transforms import GConvention, Kind, Method, TransformSpec
 
-__all__ = ["main", "run", "build_parser"]
+__all__ = ["COMMANDS", "main", "run", "build_parser"]
+
+# name -> (help, pipeline); `table` has neither pipeline nor --mode: it prints --terms rows.
+COMMANDS = {
+    "growth-coeff": ("estimate s[n+1]/s[n] limit", growth_coefficient),
+    "sum-series": ("sum a series from its terms", sum_series),
+    "accelerate": ("accelerate the raw sequence", accelerate_sequence),
+    "table": ("print raw and transformed values side by side", None),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -39,137 +43,98 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(self._exit_with(message))
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
-    def _exit_with(self, message) -> int:
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        return 1
+
+def _at_least(lo: int):
+    def check(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+    check.__name__ = "int"  # argparse names the type in "invalid int value"
+    return check
 
 
 def _parse_mode(text: str) -> EvaluationMode:
     if text == "take-last":
         return TakeLast()
-    if text.startswith("at-index:"):
-        try:
-            return AtIndex(int(text.split(":", 1)[1]))
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"bad mode {text!r}: expected take-last or at-index:<i>"
-            ) from None
-    raise argparse.ArgumentTypeError(
-        f"bad mode {text!r}: expected take-last or at-index:<i>"
-    )
-
-
-def _add_common_options(p: argparse.ArgumentParser, *, with_mode: bool = True) -> None:
-    p.add_argument("--method", choices=["ealg", "levin"], default="levin",
-                   help="accelerator family (default: levin)")
-    p.add_argument("--kind", choices=["t", "u", "v"], default="u",
-                   help="remainder model (default: u)")
-    p.add_argument("--order", type=int, default=2,
-                   help="transform order, any k >= 0 (default: 2)")
-    p.add_argument("--g-convention", choices=["text", "code"], default="text",
-                   help="order-0 weight convention for ealg (default: text)")
-    p.add_argument("--terms", type=int,
-                   help="number of input terms to take (required in take-last mode)")
-    p.add_argument("--digits", type=int, default=10,
-                   help="significant digits in the output (default: 10)")
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--generator", metavar="NAME",
-                        help="builtin sequence: " + ", ".join(sorted(BUILTIN_SEQUENCES)))
-    source.add_argument("--input", metavar="PATH", type=Path,
-                        help="sequence file, one value per line")
-    if with_mode:
-        p.add_argument("--mode", type=_parse_mode, default=TakeLast(),
-                       help="take-last (default) or at-index:<i>")
+    try:
+        if text.startswith("at-index:"):
+            return AtIndex(int(text[len("at-index:"):]))
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"bad mode {text!r}: expected take-last or at-index:<i>")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="seqaccel",
-                     description="Convergence acceleration over exact rationals.")
+    parser = _Parser(prog="seqaccel", description="Convergence acceleration over exact rationals.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("growth-coeff", parents=[], help="estimate s[n+1]/s[n] limit")
-    _add_common_options(p)
-    p = sub.add_parser("sum-series", help="sum a series from its terms")
-    _add_common_options(p)
-    p = sub.add_parser("accelerate", help="accelerate the raw sequence")
-    _add_common_options(p)
-    p = sub.add_parser("table", help="print raw and transformed values side by side")
-    _add_common_options(p, with_mode=False)
+    for name, (help_text, pipeline) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--method", choices=["ealg", "levin"], default="levin",
+                       help="accelerator family (default: levin)")
+        p.add_argument("--kind", choices=["t", "u", "v"], default="u",
+                       help="remainder model (default: u)")
+        p.add_argument("--order", type=_at_least(0), default=2,
+                       help="transform order, any k >= 0 (default: 2)")
+        p.add_argument("--g-convention", choices=["text", "code"], default="text",
+                       help="order-0 weight convention for ealg (default: text)")
+        p.add_argument("--terms", type=_at_least(0),
+                       help="number of input terms to take (required in take-last mode)")
+        p.add_argument("--digits", type=_at_least(1), default=10,
+                       help="significant digits in the output (default: 10)")
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--generator", metavar="NAME",
+                            help="builtin sequence: " + ", ".join(sorted(BUILTIN_SEQUENCES)))
+        source.add_argument("--input", metavar="PATH", type=Path,
+                            help="sequence file, one value per line")
+        if pipeline is not None:
+            p.add_argument("--mode", type=_parse_mode, default=TakeLast(),
+                           help="take-last (default) or at-index:<i>")
     return parser
 
 
-def _build_spec(args) -> TransformSpec:
-    return TransformSpec(
-        method=Method(args.method),
-        kind=Kind(args.kind),
-        order=args.order,
-        g_convention=GConvention(args.g_convention),
-    )
-
-
-def _resolve_source(args):
-    if args.generator is not None:
-        return open_source(args.generator)
-    return load_sequence(args.input)
-
-
-def _check_terms(args) -> None:
-    mode = getattr(args, "mode", TakeLast())
-    if isinstance(mode, TakeLast) and args.terms is None:
-        raise ValueError("--terms is required in take-last mode")
-    if args.terms is not None and args.terms < 0:
-        raise ValueError(f"--terms must be >= 0, got {args.terms}")
-
-
-def _print_report(report, out) -> int:
+def _run(args, out) -> int:
+    pipeline = COMMANDS[args.command][1]
+    if args.terms is None and isinstance(getattr(args, "mode", TakeLast()), TakeLast):
+        raise argparse.ArgumentError(None, "--terms is required in take-last mode")
+    spec = TransformSpec(Method(args.method), Kind(args.kind), args.order,
+                         GConvention(args.g_convention))
+    source = open_source(args.generator) if args.input is None else load_sequence(args.input)
+    if pipeline is None:
+        raw = take(source, args.terms)
+        transformed = spec.apply(raw)
+        for i in range(args.terms):
+            cells = (render_decimal(stream.at(i), args.digits) for stream in (raw, transformed))
+            print(i, *cells, sep="\t", file=out)
+        return 0
+    report = pipeline(spec, source, args.terms, digits=args.digits, mode=args.mode)
     print(report.rendered, file=out)
-    print(f"stable-digits: {report.digits_stable}", file=out)
+    if args.command != "accelerate":
+        print(f"stable-digits: {report.digits_stable}", file=out)
     return 0 if is_defined(report.estimate) else 2
 
 
-def _run_table(args, out) -> int:
-    if args.terms is None:
-        raise ValueError("--terms is required for table")
-    spec = _build_spec(args)
-    raw = take(_resolve_source(args), args.terms)
-    transformed = spec.apply(raw)
-    for i in range(args.terms):
-        left = render_decimal(raw.at(i), args.digits)
-        right = render_decimal(transformed.at(i), args.digits)
-        print(f"{i}\t{left}\t{right}", file=out)
-    return 0
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        return _run(build_parser().parse_args(argv), sys.stdout)
+    except SystemExit as exc:  # the parser's own exit: --help, or a usage error
         return exc.code if isinstance(exc.code, int) else 1
-
-    out = sys.stdout
-    try:
-        if args.command == "table":
-            return _run_table(args, out)
-        _check_terms(args)
-        spec = _build_spec(args)
-        source = _resolve_source(args)
-        runner = {
-            "growth-coeff": growth_coefficient,
-            "sum-series": sum_series,
-            "accelerate": accelerate_sequence,
-        }[args.command]
-        report = runner(spec, source, args.terms, digits=args.digits, mode=args.mode)
-        if args.command == "accelerate":
-            print(report.rendered, file=out)
-            return 0 if is_defined(report.estimate) else 2
-        return _print_report(report, out)
-    except (ValueError, OSError) as exc:
+    except (argparse.ArgumentError, UnknownSequenceError, SequenceParseError,
+            InsufficientTermsError, UnicodeDecodeError, OSError) as exc:  # fixable input
         print(f"seqaccel: error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # a defect, not a bad input: keep the traceback
+        import traceback
+        traceback.print_exc()
+        print(f"seqaccel: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def run() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -155,7 +155,7 @@ def _report(
         raise ValueError(f"digits must be >= 1, got {digits}")
     if isinstance(mode, TakeLast):
         if n_terms is None or n_terms < min_terms:
-            raise ValueError(f"need at least {min_terms} terms, got {n_terms}")
+            raise InsufficientTermsError(f"need at least {min_terms} terms, got {n_terms}")
         if source.length is not None and source.length < n_terms:
             raise InsufficientTermsError(
                 f"source provides {source.length} terms, {n_terms} requested"

@@ -128,22 +128,36 @@ def div(a: Element, b: Element) -> Element:
     return a / b
 
 
-_SCALAR_RE = re.compile(r"[+-]?\d+(?:/\d+|\.\d+)?")
+_SCALAR_RE = re.compile(r"([+-]?)(\d+)(?:/(\d+)|\.(\d+))?")
+_CHUNK = 4000  # digits per int() call: under the interpreter's 4300-digit limit
+
+
+def _digits_to_int(digits: str) -> int:
+    """int(digits) for a digit string of any length, converted in chunks."""
+    head = len(digits) % _CHUNK or _CHUNK
+    value = int(digits[:head])
+    for start in range(head, len(digits), _CHUNK):
+        value = value * 10 ** _CHUNK + int(digits[start:start + _CHUNK])
+    return value
 
 
 def parse_scalar(text: str) -> Scalar:
     """Parse an integer, rational "p/q" or plain decimal literal exactly.
 
-    Raises ValueError for anything outside that grammar (including a zero
-    denominator).
+    Literals of any length are accepted. Raises ValueError for anything
+    outside that grammar (including a zero denominator).
     """
     token = text.strip()
-    if not _SCALAR_RE.fullmatch(token):
+    match = _SCALAR_RE.fullmatch(token)
+    if not match:
         raise ValueError(f"invalid numeric literal: {token!r}")
-    try:
-        return Fraction(token)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in literal: {token!r}") from None
+    sign, whole, den, frac = match.groups()
+    frac = frac or ""
+    num = _digits_to_int(whole + frac)
+    den = _digits_to_int(den) if den else 10 ** len(frac)
+    if den == 0:
+        raise ValueError(f"zero denominator in literal: {token!r}")
+    return Fraction(-num if sign == "-" else num, den)
 
 
 def _ilog10(value: Fraction) -> int:

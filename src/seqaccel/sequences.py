@@ -33,6 +33,7 @@ __all__ = [
     "leibniz_pi4_terms",
     "BUILTIN_SEQUENCES",
     "open_source",
+    "UnknownSequenceError",
     "SequenceParseError",
     "load_sequence",
 ]
@@ -125,13 +126,17 @@ BUILTIN_SEQUENCES: dict[str, Callable[[], NumStream]] = {
 }
 
 
+class UnknownSequenceError(ValueError):
+    """No built-in sequence has the requested name."""
+
+
 def open_source(name: str) -> NumStream:
     """A fresh stream of the built-in sequence called `name`."""
     try:
         factory = BUILTIN_SEQUENCES[name]
     except KeyError:
         known = ", ".join(sorted(BUILTIN_SEQUENCES))
-        raise ValueError(f"unknown builtin sequence {name!r} (known: {known})") from None
+        raise UnknownSequenceError(f"unknown builtin sequence {name!r} (known: {known})") from None
     return factory()
 
 

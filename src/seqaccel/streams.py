@@ -58,10 +58,6 @@ class NumStream:
         """Finite length, or None for an infinite stream."""
         return self._length
 
-    @property
-    def is_finite(self) -> bool:
-        return self._length is not None
-
     def at(self, i: int) -> Element:
         """Cell i; past-the-end reads of a finite stream are OUT_OF_RANGE."""
         if i < 0:

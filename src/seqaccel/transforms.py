@@ -96,12 +96,6 @@ class TransformSpec:
             return levin(self.kind, self.order, s)
         return e_algorithm(self.kind, self.order, s, self.g_convention)
 
-    def describe(self) -> str:
-        base = f"{self.method.value} kind={self.kind.value} order={self.order}"
-        if self.method is Method.EALG:
-            base += f" g-convention={self.g_convention.value}"
-        return base
-
 
 def remainder_estimate(kind: Kind, s: NumStream) -> NumStream:
     """The R stream modelling the error of s, per the chosen kind."""

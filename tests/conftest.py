@@ -52,6 +52,22 @@ def nondegenerate_stream_values(rng: random.Random, length: int) -> list[Fractio
             return values
 
 
+def _repunit(n: int) -> int:
+    return (10 ** n - 1) // 9
+
+
+# Literals past the interpreter's 4300-digit str->int limit, with their
+# values built by arithmetic: integer, p/q and decimal forms, with chunk
+# boundaries (4000 digits) hit and missed.
+LONG_LITERALS = [
+    ("1" * 5000, Fraction(_repunit(5000))),
+    ("-" + "9" * 8001, Fraction(1 - 10 ** 8001)),
+    ("1" * 4001 + "/" + "3" * 4500, Fraction(_repunit(4001), 3 * _repunit(4500))),
+    ("-" + "1" * 4400 + "." + "2" * 4400,
+     -(_repunit(4400) + Fraction(2 * _repunit(4400), 10 ** 4400))),
+]
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20240917)

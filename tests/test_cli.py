@@ -1,7 +1,24 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from seqaccel import Kind, Method, TransformSpec, catalan_stream, growth_coefficient
-from seqaccel.cli import main
+from seqaccel import (
+    BUILTIN_SEQUENCES,
+    Kind,
+    Method,
+    NumStream,
+    TransformSpec,
+    catalan_stream,
+    growth_coefficient,
+)
+from seqaccel.cli import COMMANDS, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+README_CATALAN = ["growth-coeff", "--method", "levin", "--kind", "u", "--order", "2",
+                  "--generator", "catalan", "--terms", "800", "--digits", "10"]
 
 
 def run_cli(capsys, *argv):
@@ -203,6 +220,69 @@ class TestUsageErrors:
         )
         assert code == 1
         assert "terms" in err
+
+
+# Every input error, on every command: (argv, a fragment of stderr).
+# MISSING stands for a path that does not exist.
+MISSING = "missing.txt"
+INPUT_ERRORS = {
+    "no-terms": (["--generator", "catalan"], "--terms is required"),
+    "negative-terms": (["--generator", "catalan", "--terms", "-1"],
+                       "argument --terms: must be >= 0, got -1"),
+    "zero-digits": (["--generator", "catalan", "--terms", "10", "--digits", "0"],
+                    "argument --digits: must be >= 1, got 0"),
+    "negative-order": (["--generator", "catalan", "--terms", "10", "--order", "-1"],
+                       "argument --order: must be >= 0, got -1"),
+    "unknown-generator": (["--generator", "nope", "--terms", "10"],
+                          "unknown builtin sequence 'nope'"),
+    "missing-file": (["--input", MISSING, "--terms", "5"], MISSING),
+}
+
+
+class TestInputErrorMatrix:
+    @pytest.mark.parametrize("case", INPUT_ERRORS)
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_exit_1_with_message(self, capsys, tmp_path, command, case):
+        args, fragment = INPUT_ERRORS[case]
+        args = [str(tmp_path / a) if a == MISSING else a for a in args]
+        code, out, err = run_cli(capsys, command, *args)
+        assert code == 1
+        assert out == ""
+        assert fragment in err
+        assert "error:" in err and "internal error" not in err
+
+    def test_file_that_is_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "seq.bin"
+        path.write_bytes(b"1\n\xff\xfe\n")
+        code, _, err = run_cli(capsys, "table", "--input", str(path), "--terms", "2")
+        assert code == 1
+        assert "seqaccel: error:" in err
+
+
+class TestInternalErrors:
+    @pytest.mark.parametrize("failure", [ValueError, ArithmeticError])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_a_failing_source_cell_exits_3(self, capsys, monkeypatch, command, failure):
+        def cell(i):
+            raise failure(f"no cell {i}")
+
+        monkeypatch.setitem(BUILTIN_SEQUENCES, "broken", lambda: NumStream(cell))
+        code, out, err = run_cli(capsys, command, "--generator", "broken", "--terms", "5")
+        assert code == 3
+        assert out == ""
+        assert f"seqaccel: internal error: {failure.__name__}: no cell " in err
+        assert "seqaccel: error:" not in err
+
+
+class TestPythonDashM:
+    @pytest.mark.parametrize("module", ["seqaccel", "seqaccel.cli"])
+    def test_prints_the_readme_value(self, module):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, *README_CATALAN],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert (proc.returncode, proc.stdout) == (0, "4.000000024\nstable-digits: 10\n")
 
 
 class TestGConventionFlag:

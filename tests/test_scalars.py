@@ -16,6 +16,8 @@ from seqaccel.scalars import (
     sub,
 )
 
+from conftest import LONG_LITERALS
+
 F = Fraction
 
 rationals = st.fractions(
@@ -162,6 +164,10 @@ class TestParseScalar:
     def test_zero_denominator_rejected(self):
         with pytest.raises(ValueError, match="denominator"):
             parse_scalar("1/0")
+
+    @pytest.mark.parametrize("text,want", LONG_LITERALS, ids=["int", "int-8001", "p/q", "decimal"])
+    def test_long_literals(self, text, want):
+        assert parse_scalar(text) == want
 
     def test_defined_predicate(self):
         assert is_defined(F(1))

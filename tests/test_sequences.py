@@ -24,6 +24,7 @@ from seqaccel import (
 )
 
 import oracles
+from conftest import LONG_LITERALS
 
 F = Fraction
 
@@ -193,6 +194,11 @@ class TestLoadSequence:
         path = tmp_path / "seq.txt"
         path.write_text("0.25\n-1.5\n")
         assert load_sequence(path).to_list() == [F(1, 4), F(-3, 2)]
+
+    def test_long_literals(self, tmp_path):
+        path = tmp_path / "seq.txt"
+        path.write_text("".join(f"{text}  # long\n" for text, _ in LONG_LITERALS))
+        assert load_sequence(path).to_list() == [want for _, want in LONG_LITERALS]
 
     def test_comments_and_blank_lines(self, tmp_path):
         path = tmp_path / "seq.txt"

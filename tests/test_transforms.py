@@ -517,6 +517,12 @@ class TestTransformSpec:
         direct = e_algorithm(Kind.T, 2, s, GConvention.CODE)
         assert stream_cells(via_spec, via_spec.length) == stream_cells(direct, direct.length)
 
-    def test_describe_mentions_convention_only_for_ealg(self):
-        assert "g-convention" in TransformSpec(Method.EALG, Kind.T, 2).describe()
-        assert "g-convention" not in TransformSpec(Method.LEVIN, Kind.T, 2).describe()
+    def test_g_convention_changes_only_ealg_output(self):
+        s = from_values([1, 3, 4, 9, 11, 20, 22, 31])
+
+        def cells(method, convention):
+            out = TransformSpec(method, Kind.T, 2, convention).apply(s)
+            return stream_cells(out, out.length)
+
+        assert cells(Method.EALG, GConvention.TEXT) != cells(Method.EALG, GConvention.CODE)
+        assert cells(Method.LEVIN, GConvention.TEXT) == cells(Method.LEVIN, GConvention.CODE)
