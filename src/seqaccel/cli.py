@@ -81,7 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--g-convention", choices=["text", "code"], default="text",
                        help="order-0 weight convention for ealg (default: text)")
         p.add_argument("--terms", type=_at_least(0),
-                       help="number of input terms to take (required in take-last mode)")
+                       help="number of input terms to take (take-last mode only, where it is "
+                            "required; ignored in at-index mode)")
         p.add_argument("--digits", type=_at_least(1), default=10,
                        help="significant digits in the output (default: 10)")
         source = p.add_mutually_exclusive_group(required=True)

@@ -56,7 +56,11 @@ class TakeLast:
 
 @dataclass(frozen=True)
 class AtIndex:
-    """Transform the untruncated source and read one output cell."""
+    """Transform the untruncated source and read one output cell.
+
+    The term count (`n_terms`, the CLI's ``--terms``) applies only to
+    `TakeLast`; in this mode it is ignored.
+    """
 
     index: int
 

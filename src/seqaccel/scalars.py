@@ -76,7 +76,10 @@ def is_defined(e: Element) -> bool:
 
 
 def as_element(x) -> Element:
-    """Coerce an int, string, Fraction or Undefined into an Element."""
+    """Coerce an int, string, Fraction or Undefined into an Element.
+
+    Strings follow the `parse_scalar` grammar, the one used for files.
+    """
     if isinstance(x, (Fraction, Undefined)):
         return x
     if isinstance(x, bool):
@@ -84,7 +87,7 @@ def as_element(x) -> Element:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        return parse_scalar(x)
     raise TypeError(f"cannot convert {type(x).__name__} to an Element")
 
 

@@ -22,13 +22,20 @@ is undefined. This preserves exact fixed points, so a transform that has
 already collapsed a sequence to its (anti-)limit is not destroyed by
 applying a higher order. It saves work, not reads: E-algorithm cell i
 of order k >= 1 reads s[i..i+k+1] (kinds t, u) or s[i..i+k+2] (v).
+
+The E-algorithm table stores a fully defined row as integer numerators
+over one common denominator, Brezinski's ratio of determinants: one
+elimination is two integer products per column and one gcd per row.
+A row with an undefined cell, and an elimination whose pivot difference
+is zero, go cell by cell through the one elimination step above, which
+alone holds the rules for degenerate cells.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import comb, prod
+from math import comb, gcd, lcm, prod
 
 from .scalars import (
     Element,
@@ -137,6 +144,42 @@ def _eliminate(a0: Element, a1: Element, b0: Element, b1: Element) -> Element:
     return a0 - b0 * da / db
 
 
+def _row(cells: tuple[Element, ...]) -> tuple:
+    """A row as (d, n): cell c is n[c]/d for integers d != 0 and n[c].
+
+    A row with an undefined cell keeps its cells as they are: (None, cells).
+    """
+    if first_undefined(*cells):
+        return None, cells
+    d = lcm(*(c.denominator for c in cells))
+    return d, tuple(c.numerator * (d // c.denominator) for c in cells)
+
+
+def _cells(row: tuple) -> tuple[Element, ...]:
+    d, n = row
+    return n if d is None else tuple(Fraction(v, d) for v in n)
+
+
+def _eliminated(below: tuple, above: tuple) -> tuple:
+    """Row x at level m + 1 from rows x and x + 1 at level m; pivot column 1.
+
+    On integer rows, a0 - b0·Δa/Δb is (n0[c]·n1[1] - n0[1]·n1[c]) / P in
+    every column c != 1, with P = n1[1]·d0 - n0[1]·d1 = Δb·d0·d1; where
+    Δa = 0 that is a0, as the short-circuit rule wants. A row with an
+    undefined cell, or P = 0, goes through `_eliminate` cell by cell.
+    """
+    (d0, n0), (d1, n1) = below, above
+    if d0 is not None and d1 is not None:
+        b0, b1 = n0[1], n1[1]
+        pivot = b1 * d0 - b0 * d1
+        if pivot:
+            n = [a0 * b1 - b0 * a1 for c, (a0, a1) in enumerate(zip(n0, n1)) if c != 1]
+            g = gcd(pivot, *n)
+            return pivot // g, tuple(v // g for v in n)
+    a, b = _cells(below), _cells(above)
+    return _row(tuple(_eliminate(a[c], b[c], a[1], b[1]) for c in range(len(a)) if c != 1))
+
+
 def _table(kind: Kind, k: int, s: NumStream, convention: GConvention, j=None) -> NumStream:
     """Level k of the E-algorithm table; the top column is s, or g(0, j).
 
@@ -144,28 +187,26 @@ def _table(kind: Kind, k: int, s: NumStream, convention: GConvention, j=None) ->
     g(m, m+1), ..., g(m, k); its second entry is the pivot that level
     m + 1 eliminates. Row x at level m comes from rows x and x+1 at level
     m - 1, so output cell i fills the missing rows i..i+k-m of each level
-    m, bottom-up.
+    m, bottom-up. A fully defined row is stored as integers over one
+    common denominator (`_row`), so an elimination costs one gcd per row;
+    only rows with an undefined cell, and zero pivots, take `_eliminate`.
     """
     r = remainder_estimate(kind, s)
-    rows: list[dict[int, tuple[Element, ...]]] = [{} for _ in range(k + 1)]
+    rows: list[dict[int, tuple]] = [{} for _ in range(k + 1)]
 
-    def level_zero(x: int) -> tuple[Element, ...]:
+    def level_zero(x: int) -> tuple:
         rx = r.at(x)
         top = s.at(x) if j is None else _weight(j, x, rx, convention)
-        return (top, *(_weight(c, x, rx, convention) for c in range(1, k + 1)))
-
-    def eliminated(below: tuple, above: tuple) -> tuple[Element, ...]:
-        p0, p1 = below[1], above[1]
-        return tuple(_eliminate(below[c], above[c], p0, p1)
-                     for c in range(len(below)) if c != 1)
+        return _row((top, *(_weight(c, x, rx, convention) for c in range(1, k + 1))))
 
     def compute(i: int) -> Element:
         for m, level in enumerate(rows):
             for x in range(i, i + k - m + 1):
                 if x not in level:  # rows are deterministic: write-once suffices
                     level.setdefault(x, level_zero(x) if m == 0 else
-                                     eliminated(rows[m - 1][x], rows[m - 1][x + 1]))
-        return rows[k][i][0]
+                                     _eliminated(rows[m - 1][x], rows[m - 1][x + 1]))
+        d, n = rows[k][i]
+        return n[0] if d is None else Fraction(n[0], d)
 
     length = None if r.length is None else max(r.length - k, 0)
     return NumStream(compute, length)

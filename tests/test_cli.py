@@ -93,6 +93,15 @@ class TestSumSeries:
         assert code == 0
         assert out.splitlines()[0] == "0.500000"
 
+    def test_terms_ignored_in_at_index_mode(self, capsys):
+        # --terms counts the input only in take-last mode; at-index reads
+        # the untruncated source, with or without it.
+        argv = ["sum-series", "--method", "ealg", "--kind", "t", "--order", "2",
+                "--generator", "grandi-terms", "--mode", "at-index:2", "--digits", "6"]
+        runs = [run_cli(capsys, *argv, *terms) for terms in ([], ["--terms", "3"],
+                                                             ["--terms", "8"], ["--terms", "300"])]
+        assert runs == [(0, "0.500000\nstable-digits: 6\n", "")] * 4
+
     def test_alternating_naturals(self, capsys):
         code, out, _ = run_cli(
             capsys,

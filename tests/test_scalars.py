@@ -15,6 +15,7 @@ from seqaccel.scalars import (
     render_decimal,
     sub,
 )
+from seqaccel.streams import from_values, iota
 
 from conftest import LONG_LITERALS
 
@@ -172,3 +173,29 @@ class TestParseScalar:
     def test_defined_predicate(self):
         assert is_defined(F(1))
         assert not is_defined(Undefined(UndefinedReason.OUT_OF_RANGE))
+
+
+class TestStringElements:
+    """Strings become scalars through `parse_scalar`: one literal grammar."""
+
+    @pytest.mark.parametrize("text", ["1e5", " 1_000 ", ".5", "3.", "nan", "0x10"])
+    def test_outside_the_grammar_rejected(self, text):
+        for coerce in (lambda t: from_values([1, t]), lambda t: iota(t, 1),
+                       lambda t: iota(0, t), lambda t: render_decimal(t, 3)):
+            with pytest.raises(ValueError, match="invalid numeric literal"):
+                coerce(text)
+
+    @pytest.mark.parametrize("text,want", [
+        (" -3/4 ", F(-3, 4)),
+        ("0.125", F(1, 8)),
+        *LONG_LITERALS,
+    ], ids=["p/q", "decimal", "long-int", "long-int-8001", "long-p/q", "long-decimal"])
+    def test_stream_values(self, text, want):
+        assert from_values([text, 1]).to_list() == [want, 1]
+        progression = iota(text, text)
+        assert [progression.at(i) for i in range(3)] == [want, 2 * want, 3 * want]
+
+    def test_render_long_literal(self):
+        # Past 4300 digits, yet the value is small enough to render.
+        assert render_decimal("1" + "0" * 5000 + "/2" + "0" * 5000, 3) == "0.500"
+        assert render_decimal("0.25" + "0" * 5000, 2) == "0.25"

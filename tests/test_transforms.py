@@ -1,7 +1,9 @@
 import random
 import sys
 import threading
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -29,6 +31,7 @@ from seqaccel import (
     remainder_estimate,
     take,
 )
+from seqaccel import transforms
 import oracles
 from conftest import (
     assert_stream_equals,
@@ -220,6 +223,67 @@ class TestEAlgorithm:
             counts.append(len(built))
             built.clear()
         assert counts[0] == counts[1] == counts[2]
+
+    def test_undefined_reason_and_cause(self):
+        # Pinned cells, each Undefined with its exact reason and cause; see
+        # the header of the data file for the format.
+        tokens = {"DZ": DZ, "ZZ": ZZ, "OOR": OOR}
+
+        def cell(token: str):
+            if token.startswith("P("):
+                return P(tokens[token[2:-1]])
+            return tokens[token] if token in tokens else F(token)
+
+        lines = Path(__file__).with_name("ealg_cells_with_causes.txt").read_text().splitlines()
+        checked = 0
+        for line in lines:
+            if line.startswith("#"):
+                continue
+            head, cells = line.split(":")
+            family, name, kind, conv, k = head.split()
+            kind, conv, k = Kind(kind), GConvention(conv), int(k)
+            s = from_values(MIXED_CAUSES[name])
+            out = (e_algorithm(kind, k, s, conv) if family == "e"
+                   else g_algorithm(kind, k, k + 1, s, conv))
+            assert out.to_list() == [cell(c) for c in cells.split()], line
+            checked += 1
+        assert checked == 2 * 3 * 3 * 2 * 5
+
+    def test_high_orders_match_oracle_on_both_paths(self, monkeypatch):
+        # Values from a span of 2 repeat often, so pivots vanish (P = 0) on
+        # fully defined rows, at level 1 and higher up. Rows then take the
+        # integer elimination (one gcd each) and the `_eliminate` fallback.
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(transforms, "gcd", counted("integer", transforms.gcd))
+        monkeypatch.setattr(transforms, "_eliminate", counted("fallback", transforms._eliminate))
+        rng = random.Random(3)
+        above_level_one = 0
+        for _ in range(16):
+            values = random_stream_values(rng, rng.randint(9, 13), span=2)
+            s = from_values(values)
+            kind, conv, k = rng.choice(KINDS), rng.choice(CONVENTIONS), rng.randint(6, 10)
+            fallbacks = calls["fallback"]
+            want = oracles.ealg_list(kind_code(kind), k, values, conv.value)
+            assert stream_cells(e_algorithm(kind, k, s, conv), len(want)) == want
+            if kind is not Kind.V and conv is GConvention.TEXT and calls["fallback"] > fallbacks:
+                # Level 0 is fully defined here, and order 1 meets the same
+                # level-1 pivots: if it never falls back, order k fell back
+                # on a zero pivot at level 2 or above.
+                fallbacks = calls["fallback"]
+                e_algorithm(kind, 1, s, conv).to_list()
+                above_level_one += calls["fallback"] == fallbacks
+            j = rng.randint(1, k + 1)
+            want = oracles.galg_list(kind_code(kind), k, j, values, conv.value)
+            assert stream_cells(g_algorithm(kind, k, j, s, conv), len(want)) == want
+        assert calls["integer"] > 0 and calls["fallback"] > 0
+        assert above_level_one > 0
 
 
 class TestSharedTable:
