@@ -117,13 +117,14 @@ def ratio_stream(s: NumStream) -> NumStream:
 
 def _counted(s: NumStream) -> tuple[NumStream, Callable[[], int]]:
     """View of s that records how many leading source cells were forced."""
-    forced: set[int] = set()
+    highest = -1
 
     def compute(i: int) -> Element:
-        forced.add(i)
+        nonlocal highest
+        highest = max(highest, i)
         return s.at(i)
 
-    return NumStream(compute, s.length), lambda: max(forced) + 1 if forced else 0
+    return NumStream(compute, s.length), lambda: highest + 1
 
 
 def _stable_digits(current: Element, previous: Element, up_to: int) -> int:

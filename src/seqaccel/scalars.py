@@ -11,6 +11,7 @@ Decimal text appears only at the output boundary, via `render_decimal`.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -163,10 +164,15 @@ def parse_scalar(text: str) -> Scalar:
     return Fraction(-num if sign == "-" else num, den)
 
 
+_LOG10_2 = math.log10(2)
+
+
 def _ilog10(value: Fraction) -> int:
     """floor(log10(|value|)) for nonzero `value`, exactly."""
     p, q = abs(value.numerator), value.denominator
-    e = len(str(p)) - len(str(q))  # within 1 of the answer
+    # |value| lies within a factor 2 of 2^(bits p - bits q), so this is
+    # within 1 of the answer; no decimal string of p or q is built.
+    e = math.floor((p.bit_length() - q.bit_length()) * _LOG10_2)
     while not _at_least_pow10(p, q, e):
         e -= 1
     while _at_least_pow10(p, q, e + 1):

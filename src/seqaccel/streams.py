@@ -10,20 +10,24 @@ n = i + 1.
 
 Streams are safe to read from several threads: the cell cache is
 write-once (the first computed value for an index is the one every
-reader sees) and stateful producers serialize their accumulation.
+reader sees) and stateful producers serialize their updates.
 """
 from __future__ import annotations
 
+import bisect
 import threading
+from fractions import Fraction
+from math import gcd
 from typing import Callable, Iterable, Optional
 
 from .scalars import (
     Element,
     Undefined,
     UndefinedReason,
-    add,
     as_element,
+    first_undefined,
     is_defined,
+    propagated,
     sub,
 )
 
@@ -136,19 +140,70 @@ def forward_difference(s: NumStream) -> NumStream:
 
 
 def partial_sums(s: NumStream) -> NumStream:
-    """Running sums of s, same extent; undefined terms poison the rest."""
-    acc: list[Element] = []
+    """Running sums of s, same extent; undefined terms poison the rest.
+
+    Cell i is s[0] + ... + s[i]. Only the cells that were read are kept,
+    in a sparse map, and each read starts from the nearest of them:
+    cell a above i, when it is defined, less the sum of s[i+1..a], or
+    else cell j below i (or nothing) plus the sum of s[j+1..i]. A gap is
+    summed exactly, as a pairwise tree of integer pairs. The values are
+    those of a sequential sum, and so are the forced terms: every term up
+    to i. The first undefined term poisons its own cell and every later
+    one: cell 0 is then the term itself, any other cell `propagated` from
+    it.
+    """
+    known: dict[int, Element] = {}
+    keys: list[int] = []  # the indices in `known`, ascending
     lock = threading.Lock()
 
     def compute(i: int) -> Element:
         with lock:
-            while len(acc) <= i:
-                j = len(acc)
-                term = s.at(j)
-                acc.append(term if j == 0 else add(acc[j - 1], term))
-            return acc[i]
+            if i in known:  # another reader of the same fresh cell got here first
+                return known[i]
+            at = bisect.bisect(keys, i)
+            j = keys[at - 1] if at else -1
+            a = keys[at] if at < len(keys) else None
+            if a is not None and a - i < i - j and is_defined(known[a]):
+                cell = known[a] - _exact_sum([s.at(m) for m in range(i + 1, a + 1)])
+            else:
+                terms = [s.at(m) for m in range(j + 1, i + 1)]
+                u = first_undefined(known.get(j), *terms)
+                if i == 0:
+                    cell = terms[0]
+                elif u:
+                    cell = propagated(u)
+                else:
+                    # Cell j joins outside the tree: Fraction's addition of
+                    # the smaller gap sum needs no gcd of two full-size ints.
+                    cell = _exact_sum(terms) + known.get(j, 0)
+            known[i] = cell
+            keys.insert(at, i)
+            return cell
 
     return NumStream(compute, s.length)
+
+
+def _exact_sum(values: list[Fraction]) -> Fraction:
+    """Exact sum of a nonempty list, added pairwise up a balanced tree.
+
+    The nodes are integer pairs (p, q). Two halves combine over the lcm
+    of their denominators, q0 // g * q1 with g = gcd(q0, q1), so the
+    operands of each product stay of similar size, and only the root is
+    reduced into a Fraction.
+    """
+    if len(values) == 1:
+        return values[0]
+    pairs = [(v.numerator, v.denominator) for v in values]
+    while len(pairs) > 1:
+        merged = []
+        for m in range(1, len(pairs), 2):
+            (p0, q0), (p1, q1) = pairs[m - 1], pairs[m]
+            g = gcd(q0, q1)
+            merged.append((p0 * (q1 // g) + p1 * (q0 // g), q0 // g * q1))
+        if len(pairs) % 2:
+            merged.append(pairs[-1])
+        pairs = merged
+    return Fraction(*pairs[0])
 
 
 def last_defined(s: NumStream) -> Element:

@@ -175,10 +175,11 @@ def levin_list(kind, k, s):
 
 
 def partial_sums_list(terms):
+    """Running sums; an undefined term (None) makes its cell and all later ones None."""
     out = []
     acc = Fraction(0)
     for t in terms:
-        acc += t
+        acc = None if acc is None or t is None else acc + t
         out.append(acc)
     return out
 

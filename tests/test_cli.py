@@ -111,6 +111,14 @@ class TestSumSeries:
         assert code == 0
         assert out.splitlines()[0] == "0.250000"
 
+    def test_leibniz_past_the_digit_limit(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "sum-series", "--generator", "leibniz-pi4-terms", "--terms", "6000",
+            "--digits", "15",
+        )
+        assert (code, out, err) == (0, "0.785398163397448\nstable-digits: 15\n", "")
+
     def test_undefined_result_exits_2(self, capsys):
         code, out, _ = run_cli(
             capsys,

@@ -206,6 +206,14 @@ class TestSumSeries:
         report_idx = sum_series(EALG_T2, grandi_terms(), mode=AtIndex(2))
         assert report_last.estimate == report_idx.estimate
 
+    def test_leibniz_past_the_digit_limit(self):
+        # The partial sums' numerators and denominators pass 4300 digits.
+        report = sum_series(LEVIN_U2, leibniz_pi4_terms(), 6000, digits=15)
+        assert report.rendered == "0.785398163397448"
+        assert report.digits_stable == 15
+        assert report.terms_used == 6000
+        assert abs(report.estimate - oracles.pi_quarter_reference()) < F(1, 10 ** 15)
+
     def test_empty_transform_output_reports_undefined(self):
         # Three partial sums are too few for a second-order elimination.
         report = sum_series(EALG_T2, grandi_terms(), 3)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 from seqaccel.scalars import (
     Undefined,
     UndefinedReason,
+    _ilog10,
     add,
     div,
     is_defined,
@@ -142,6 +144,43 @@ class TestRenderDecimal:
         text = render_decimal(a, digits)
         parsed = F(text)
         assert abs(parsed - a) < F(10) ** (1 - digits) * abs(a)
+
+
+def _ilog10_cases():
+    """Seeded rationals of 1 to 40,000 digits, powers of ten and 10^k ± 1."""
+    rng = random.Random(4300)
+    cases = []
+    for digits in (1, 2, 15, 300, 4299, 4300, 4301, 6000, 12_000, 40_000):
+        for _ in range(3):
+            p = rng.randrange(10 ** (digits - 1), 10 ** digits)
+            q = rng.randrange(10 ** (rng.randint(1, digits) - 1), 10 ** digits)
+            cases += [F(p, q), F(-q, p), F(p)]
+    for k in (0, 1, 9, 4300, 4301, 40_000):
+        for near in (-1, 0, 1):
+            if 10 ** k + near:
+                cases += [F(10 ** k + near), F(1, 10 ** k + near)]
+    return cases
+
+
+class TestIlog10:
+    def test_brackets_every_case_exactly(self):
+        for value in _ilog10_cases():
+            e = _ilog10(value)
+            assert F(10) ** e <= abs(value) < F(10) ** (e + 1), (value.numerator.bit_length(), e)
+
+    def test_powers_of_ten_are_exact(self):
+        for k in (1, 4300, 40_000):
+            assert _ilog10(F(10 ** k)) == k
+            assert _ilog10(F(1, 10 ** k)) == -k
+            assert _ilog10(F(10 ** k - 1)) == k - 1
+            assert _ilog10(F(1, 10 ** k + 1)) == -k - 1
+
+    def test_render_past_the_digit_limit(self):
+        # Numerator and denominator have over 10,000 digits each.
+        third = F(10 ** 10_000 + 1, 3 * 10 ** 10_000)
+        assert render_decimal(third, 6) == "0.333333"
+        # 20,000 log10(7) = 16901.9608..., and 10^0.9608 = 9.137...
+        assert render_decimal(F(7) ** 20_000, 3) == "9.14e16901"
 
 
 class TestParseScalar:

@@ -1,3 +1,5 @@
+import random
+import sys
 import threading
 from fractions import Fraction
 
@@ -18,8 +20,9 @@ from seqaccel import (
     take,
     zip_with,
 )
-from seqaccel.scalars import add, div, mul, sub
+from seqaccel.scalars import add, div, is_defined, mul, sub
 
+import oracles
 from conftest import assert_stream_equals
 
 F = Fraction
@@ -242,3 +245,160 @@ class TestConcurrency:
         for t in threads:
             t.join()
         assert set(outs) == {F(2)}
+
+
+# Undefined terms of every reason, a propagated one included.
+UNDEFINED_TERMS = [Undefined(reason) for reason in UndefinedReason] + [
+    Undefined(UndefinedReason.PROPAGATED_FROM_INPUT, UndefinedReason.DIV_BY_ZERO),
+]
+
+
+def seeded_term(seed: int, i: int, undefined_rate: float):
+    rng = random.Random(seed * 1_000_003 + i)
+    if rng.random() < undefined_rate:
+        return rng.choice(UNDEFINED_TERMS)
+    return F(rng.randint(-60, 60), rng.randint(1, 40) * rng.choice((1, 3, 7, 2 ** 20)))
+
+
+def seeded_terms(seed: int, n: int):
+    """n seeded terms: no undefined ones, a few, term 0 undefined, or many."""
+    rate = (0, 0.004, 0.02, 0.2)[seed % 4]
+    values = [seeded_term(seed, i, rate) for i in range(n)]
+    if seed % 7 == 3:
+        values[0] = UNDEFINED_TERMS[seed % len(UNDEFINED_TERMS)]
+    return values
+
+
+def expected_sums(values):
+    """The oracle's sums with each undefined cell's reason and cause.
+
+    The first undefined term poisons its own cell and every later cell;
+    cell 0 is then the term itself, every other cell is propagated from
+    it and keeps its cause.
+    """
+    sums = oracles.partial_sums_list([v if is_defined(v) else None for v in values])
+    first = next((v for v in values if not is_defined(v)), None)
+    poisoned = Undefined(UndefinedReason.PROPAGATED_FROM_INPUT, first.cause) if first else None
+    return [
+        s if s is not None else (values[0] if i == 0 else poisoned)
+        for i, s in enumerate(sums)
+    ]
+
+
+def read_orders(rng: random.Random, n: int):
+    forward = list(range(n))
+    scattered = rng.sample(forward, n // 3) + [n - 1, 0, n // 2]
+    shuffled = forward[:]
+    rng.shuffle(shuffled)
+    return {
+        "forward": forward,
+        "backward": forward[::-1],
+        "random": shuffled,
+        "scattered": scattered,
+        "last-then-down": [i for i in (n - 1, n - 3, n - 2, *range(n // 2, n // 2 - 5, -1))
+                           if i >= 0],
+    }
+
+
+def assert_cell(got, want, where):
+    assert type(got) is type(want), where
+    assert got == want, where  # for Undefined: reason and cause
+
+
+class TestPartialSumsDifferential:
+    @pytest.mark.parametrize("seed", range(24))
+    @pytest.mark.parametrize("infinite", [False, True], ids=["finite", "infinite"])
+    def test_every_read_order_matches_the_oracle(self, seed, infinite):
+        rng = random.Random(seed)
+        n = rng.choice((1, 2, 3, 9, 70, 400))
+        values = seeded_terms(seed, n)
+        want = expected_sums(values)
+        for name, order in read_orders(rng, n).items():
+            forced = []
+
+            def term(i):
+                forced.append(i)
+                return values[i]  # a term past n is never forced: IndexError
+
+            sums = partial_sums(NumStream(term, None if infinite else n))
+            assert sums.length == (None if infinite else n)
+            highest = -1
+            for i in order:
+                assert_cell(sums.at(i), want[i], (name, i))
+                highest = max(highest, i)
+                # Exactly the terms up to the highest cell read so far.
+                assert sorted(forced) == list(range(highest + 1)), (name, i)
+
+    def test_long_gaps_either_side_of_a_known_cell(self):
+        values = [F(1, 2 * i + 1) * (-1) ** i for i in range(3000)]
+        want = oracles.partial_sums_list(values)
+        sums = partial_sums(from_values(values))
+        for i in (1500, 2999, 2998, 10, 1499, 1501, 2000, 0, 2500):
+            assert sums.at(i) == want[i], i
+
+    def test_each_read_sums_only_the_nearer_gap(self):
+        values = [F((-1) ** i, 2 * i + 1) for i in range(1000)]
+        reads = []
+
+        class Terms(NumStream):
+            def at(self, i):
+                reads.append(i)
+                return super().at(i)
+
+        sums = partial_sums(Terms(values.__getitem__, len(values)))
+        want = oracles.partial_sums_list(values)
+        # (cell, terms read): from nothing, then from the nearer known cell,
+        # above (less the terms between) or below (plus the terms between).
+        for i, expected_reads in [(999, range(1000)), (998, [999]),
+                                  (600, range(601, 999)), (100, range(101)),
+                                  (101, [101]), (350, range(102, 351))]:
+            reads.clear()
+            assert sums.at(i) == want[i]
+            assert sorted(reads) == list(expected_reads), i
+
+    def test_cell_above_an_undefined_cell_is_not_a_start(self):
+        u = Undefined(UndefinedReason.INDETERMINATE_ZERO_OVER_ZERO)
+        values = [F(1), F(2), u, F(4), F(5)]
+        sums = partial_sums(from_values(values))
+        assert sums.at(4) == Undefined(UndefinedReason.PROPAGATED_FROM_INPUT, u.cause)
+        assert sums.at(3) == Undefined(UndefinedReason.PROPAGATED_FROM_INPUT, u.cause)
+        assert sums.at(1) == F(3)
+        assert sums.at(2) == Undefined(UndefinedReason.PROPAGATED_FROM_INPUT, u.cause)
+
+
+class TestPartialSumsConcurrency:
+    @pytest.mark.parametrize("seed", [5, 10, 11])
+    def test_concurrent_readers_agree_with_oracle(self, seed):
+        values = seeded_terms(seed, 300)
+        want = expected_sums(values)
+        forced = []
+
+        def term(i):
+            forced.append(i)
+            return values[i]
+
+        sums = partial_sums(NumStream(term, len(values)))
+        start = threading.Barrier(8)
+        seen = {}
+
+        def read(reader: int) -> None:
+            order = range(len(want))
+            start.wait(timeout=60)
+            cells = {i: sums.at(i) for i in (order if reader % 2 else reversed(order))}
+            seen[reader] = [cells[i] for i in order]
+
+        threads = [threading.Thread(target=read, args=(r,)) for r in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(seen) == list(range(8))
+        for cells in seen.values():
+            assert cells == want
+        assert sorted(forced) == list(range(len(values)))

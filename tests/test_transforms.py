@@ -1,4 +1,6 @@
+import os
 import random
+import subprocess
 import sys
 import threading
 from collections import Counter
@@ -41,6 +43,7 @@ from conftest import (
 )
 
 F = Fraction
+SRC = Path(__file__).resolve().parent.parent / "src"
 KINDS = [Kind.T, Kind.U, Kind.V]
 CONVENTIONS = [GConvention.TEXT, GConvention.CODE]
 
@@ -403,6 +406,80 @@ class TestLevin:
             want = oracles.levin2_list(kind_code(kind), values)
             got = stream_cells(levin(kind, 2, from_values(values)), len(want))
             assert got == want
+
+
+class TestLevinAgainstMpmath:
+    """Second, independent Levin oracle: mpmath's recursive evaluation.
+
+    mpmath's `levin` object evaluates L = Σ_m w_m S_m/ω_m ÷ Σ_m w_m/ω_m
+    over the sums S_0..S_k it was given, with weights (θ + m)^(k-1); θ
+    is its β. Our cell i has weights (i + j)^(k-1), so θ = i. The index
+    offset: mpmath's remainders use the last term included, ω_n = a_n =
+    s[n] - s[n-1], while ours use the first term left out, R[n] = Δs[n]
+    = a_(n+1). So its core is fed our window s[i..i+k] with ω_m = R[i+m]
+    directly. Its variant t takes that ω as given; its variant v builds
+    a_n a_(n+1)/(a_n - a_(n+1)) from the two differences passed, which
+    is -R[n] for our kind v (a common sign cancels). Its variant u would
+    scale by θ + m = i + m where our kind u scales by n + 1, so kind u
+    goes through variant t with the scaled remainder.
+    """
+
+    N = 40
+
+    @pytest.fixture
+    def mp(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.mp.workdps(60):
+            yield mpmath.mp
+
+    def sums(self, mp):
+        exact = take(partial_sums(leibniz_pi4_terms()), self.N)
+        return exact, [mp.mpf(x.numerator) / x.denominator for x in exact.to_list()]
+
+    def assert_agree(self, mp, ours, theirs):
+        value = mp.mpf(ours.numerator) / ours.denominator
+        assert abs(value - theirs) <= mp.mpf(10) ** -40 * abs(value)
+
+    @pytest.mark.parametrize("kind", KINDS, ids=kind_code)
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_levin_core_matches(self, mp, kind, k):
+        exact, s = self.sums(mp)
+
+        def d(n):
+            return s[n + 1] - s[n]
+
+        variant, omega = {
+            Kind.T: ("t", lambda n: (d(n),)),
+            Kind.U: ("t", lambda n: ((n + 1) * d(n),)),
+            Kind.V: ("v", lambda n: (d(n), d(n + 1))),
+        }[kind]
+        ours = levin(kind, k, exact)
+        for i in (0, 1, 2, 7, 20, ours.length - 1):
+            theirs = mp.levin(method="levin", variant=variant)
+            theirs.theta = i
+            for m in range(k + 1):
+                theirs.run(s[i + m], *omega(i + m))
+            self.assert_agree(mp, ours.at(i), theirs.A[0] / theirs.B[0])
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_kind_t_through_the_partial_sum_interface(self, mp, k):
+        # Shifted by one term and translated by s[i], the window s[i..i+k]
+        # becomes mpmath's S_m = s[i+m+1] - s[i], whose ω_m = a_(i+m+1) is
+        # our R[i+m]. Σ w_m = 0 (a k-th difference of a degree k-1
+        # polynomial), so the shift changes nothing and s[i] adds back.
+        exact, s = self.sums(mp)
+        ours = levin(Kind.T, k, exact)
+        for i in (0, 3, 20, ours.length - 1):
+            theirs = mp.levin(method="levin", variant="t")
+            theirs.theta = i
+            value, _ = theirs.update_psum([s[i + m + 1] - s[i] for m in range(k + 1)])
+            self.assert_agree(mp, ours.at(i), value + s[i])
+
+    def test_runtime_does_not_import_mpmath(self):
+        code = "import sys, seqaccel.cli; print('mpmath' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(SRC)}, check=True)
+        assert out.stdout == "False\n"
 
 
 class TestLevinOrder2Form:
