@@ -26,7 +26,6 @@ from .streams import (
     iota,
     last_defined,
     partial_sums,
-    stream_tail,
     take,
     zip_with,
 )

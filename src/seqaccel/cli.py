@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from .estimators import (AtIndex, EvaluationMode, InsufficientTermsError, TakeLast,
-                         accelerate_sequence, growth_coefficient, sum_series)
+                         _require_terms, accelerate_sequence, growth_coefficient, sum_series)
 from .scalars import is_defined, render_decimal
 from .sequences import (BUILTIN_SEQUENCES, SequenceParseError, UnknownSequenceError,
                         load_sequence, open_source)
@@ -104,6 +104,7 @@ def _run(args, out) -> int:
                          GConvention(args.g_convention))
     source = open_source(args.generator) if args.input is None else load_sequence(args.input)
     if pipeline is None:
+        _require_terms(source, args.terms)
         raw = take(source, args.terms)
         transformed = spec.apply(raw)
         for i in range(args.terms):

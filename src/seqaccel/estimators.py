@@ -115,16 +115,10 @@ def ratio_stream(s: NumStream) -> NumStream:
     return NumStream(lambda i: div(s.at(start + i + 1), s.at(start + i)), length)
 
 
-def _counted(s: NumStream) -> tuple[NumStream, Callable[[], int]]:
-    """View of s that records how many leading source cells were forced."""
-    highest = -1
-
-    def compute(i: int) -> Element:
-        nonlocal highest
-        highest = max(highest, i)
-        return s.at(i)
-
-    return NumStream(compute, s.length), lambda: highest + 1
+def _require_terms(source: NumStream, n_terms: int) -> None:
+    """Reject a finite source shorter than the n_terms asked of it."""
+    if source.length is not None and source.length < n_terms:
+        raise InsufficientTermsError(f"source provides {source.length} terms, {n_terms} requested")
 
 
 def _stable_digits(current: Element, previous: Element, up_to: int) -> int:
@@ -158,30 +152,32 @@ def _report(
 ) -> AccelerationReport:
     if digits < 1:
         raise ValueError(f"digits must be >= 1, got {digits}")
-    if isinstance(mode, TakeLast):
+    take_last = isinstance(mode, TakeLast)
+    if take_last:
         if n_terms is None or n_terms < min_terms:
             raise InsufficientTermsError(f"need at least {min_terms} terms, got {n_terms}")
-        if source.length is not None and source.length < n_terms:
-            raise InsufficientTermsError(
-                f"source provides {source.length} terms, {n_terms} requested"
-            )
+        _require_terms(source, n_terms)
 
-    counted, consumed = _counted(source)
-    if isinstance(mode, TakeLast):
-        stream = transform.apply(prepare(take(counted, n_terms)))
-        estimate = last_defined(stream)
-    else:
-        stream = transform.apply(prepare(counted))
-        estimate = stream.at(mode.index)
+    # One view of the source, cut to n terms in TakeLast mode, records the
+    # highest source cell forced.
+    highest = -1
+
+    def read(i: int) -> Element:
+        nonlocal highest
+        highest = max(highest, i)
+        return source.at(i)
+
+    stream = transform.apply(prepare(NumStream(read, n_terms if take_last else source.length)))
+    estimate = last_defined(stream) if take_last else stream.at(mode.index)
     # Before the stability read, which may force cells the estimate did not.
-    terms_used = consumed()
+    terms_used = highest + 1
 
     # Stability diagnostic: the run one step shorter. Every in-range output
     # cell of ratio_stream, partial_sums, levin and e_algorithm reads only
     # in-range input cells, so the (n-1)-term pipeline is this stream cut
     # one cell shorter, and the (i-1) run is this stream's cell i-1. At
     # n = min_terms the stream has at most one cell, so the cut is empty.
-    if isinstance(mode, TakeLast):
+    if take_last:
         previous = last_defined(take(stream, max(stream.length - 1, 0)))
     elif mode.index > 0:
         previous = stream.at(mode.index - 1)

@@ -6,7 +6,8 @@ Extent is explicit: `length is None` means infinite, otherwise the
 stream is finite and reading past the end yields
 `Undefined(OUT_OF_RANGE)` rather than raising. Indexing is 0-based
 throughout; combinators that need the classic 1-based position n use
-n = i + 1.
+n = i + 1. Each pipeline stage is one stream that reads its input's
+cells directly, with no shifted view of the input in between.
 
 Streams are safe to read from several threads: the cell cache is
 write-once (the first computed value for an index is the one every
@@ -37,7 +38,6 @@ __all__ = [
     "from_function",
     "iota",
     "take",
-    "stream_tail",
     "zip_with",
     "forward_difference",
     "partial_sums",
@@ -116,11 +116,6 @@ def take(s: NumStream, n: int) -> NumStream:
     return NumStream(s.at, length)
 
 
-def stream_tail(s: NumStream) -> NumStream:
-    length = None if s.length is None else max(s.length - 1, 0)
-    return NumStream(lambda i: s.at(i + 1), length)
-
-
 def _min_extent(a: Optional[int], b: Optional[int]) -> Optional[int]:
     if a is None:
         return b
@@ -136,7 +131,8 @@ def zip_with(f: Callable[[Element, Element], Element], a: NumStream, b: NumStrea
 
 def forward_difference(s: NumStream) -> NumStream:
     """Cell i is s[i+1] - s[i]; a finite length L becomes L - 1."""
-    return zip_with(sub, stream_tail(s), s)
+    length = None if s.length is None else max(s.length - 1, 0)
+    return NumStream(lambda i: sub(s.at(i + 1), s.at(i)), length)
 
 
 def partial_sums(s: NumStream) -> NumStream:

@@ -45,14 +45,9 @@ from .scalars import (
     first_undefined,
     mul,
     propagated,
+    sub,
 )
-from .streams import (
-    NumStream,
-    forward_difference,
-    iota,
-    stream_tail,
-    zip_with,
-)
+from .streams import NumStream, forward_difference
 
 __all__ = [
     "Kind",
@@ -105,14 +100,21 @@ class TransformSpec:
 
 
 def remainder_estimate(kind: Kind, s: NumStream) -> NumStream:
-    """The R stream modelling the error of s, per the chosen kind."""
+    """The R stream modelling the error of s: d = Δs, or one stream over d.
+
+    Kind u scales d[i] by i + 1, an offset other than the Levin weights'.
+    """
     d = forward_difference(s)
     if kind is Kind.T:
         return d
     if kind is Kind.U:
-        return zip_with(mul, d, iota(1, 1))
-    # V: product of two consecutive differences over the second difference
-    return zip_with(div, zip_with(mul, stream_tail(d), d), forward_difference(d))
+        return NumStream(lambda i: mul(d.at(i), i + 1), d.length)
+
+    def v(i: int) -> Element:
+        d1, d0 = d.at(i + 1), d.at(i)
+        return div(mul(d1, d0), sub(d1, d0))
+
+    return NumStream(v, None if d.length is None else max(d.length - 1, 0))
 
 
 def _weight(j: int, x: int, r: Element, convention: GConvention) -> Element:
@@ -253,7 +255,9 @@ def levin(kind: Kind, k: int, s: NumStream) -> NumStream:
     the cell is s[i] and R[i+1] is not read. From order 2 on, a zero
     denominator is undefined as in `div`. An undefined operand makes the
     cell undefined with the cause of the first one in summand order
-    (see `_summand_operands`). Order 1 with kind T is `aitken`.
+    (see `_summand_operands`). Order 1 with kind T is `aitken`. Kind u
+    scales R[i] by i + 1 while the weights use (i+j)^(k-1), so from order
+    2 on it is a modified u transform, the textbook variant u for no β.
     """
     if k < 0:
         raise ValueError(f"order must be >= 0, got {k}")

@@ -240,8 +240,9 @@ class TestUsageErrors:
 
 
 # Every input error, on every command: (argv, a fragment of stderr).
-# MISSING stands for a path that does not exist.
+# MISSING stands for a path that does not exist, SHORT for a file of 3 terms.
 MISSING = "missing.txt"
+SHORT = "short.txt"
 INPUT_ERRORS = {
     "no-terms": (["--generator", "catalan"], "--terms is required"),
     "negative-terms": (["--generator", "catalan", "--terms", "-1"],
@@ -253,6 +254,8 @@ INPUT_ERRORS = {
     "unknown-generator": (["--generator", "nope", "--terms", "10"],
                           "unknown builtin sequence 'nope'"),
     "missing-file": (["--input", MISSING, "--terms", "5"], MISSING),
+    "file-shorter-than-terms": (["--input", SHORT, "--terms", "6"],
+                                "source provides 3 terms, 6 requested"),
 }
 
 
@@ -261,7 +264,8 @@ class TestInputErrorMatrix:
     @pytest.mark.parametrize("command", COMMANDS)
     def test_exit_1_with_message(self, capsys, tmp_path, command, case):
         args, fragment = INPUT_ERRORS[case]
-        args = [str(tmp_path / a) if a == MISSING else a for a in args]
+        (tmp_path / SHORT).write_text("1\n2\n3\n")
+        args = [str(tmp_path / a) if a in (MISSING, SHORT) else a for a in args]
         code, out, err = run_cli(capsys, command, *args)
         assert code == 1
         assert out == ""

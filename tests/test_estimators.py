@@ -250,6 +250,33 @@ class TestReports:
         assert source.reads
         assert set(source.reads.values()) == {1}
 
+    # Streams built by one TakeLast growth_coefficient or sum_series report:
+    # source, input view, preparation, Δs, R (kinds u and v only), the
+    # transform (for the E-algorithm, its table) and the one-shorter cut.
+    @pytest.mark.parametrize("mode", [TakeLast(), AtIndex(5)], ids=["take-last", "at-index-5"])
+    @pytest.mark.parametrize("spec,streams", [
+        (TransformSpec(Method.LEVIN, Kind.T, 2), 6),
+        (TransformSpec(Method.LEVIN, Kind.U, 2), 7),
+        (TransformSpec(Method.LEVIN, Kind.V, 2), 7),
+        (TransformSpec(Method.EALG, Kind.V, 3), 7),
+    ], ids=["levin-t2", "levin-u2", "levin-v2", "ealg-v3"])
+    @pytest.mark.parametrize("run", list(PIPELINES), ids=lambda f: f.__name__)
+    def test_one_stream_per_stage(self, monkeypatch, run, spec, streams, mode):
+        built = []
+        init = NumStream.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(NumStream, "__init__", counting_init)
+        run(spec, NumStream(lambda i: F(3) ** i + F(1, i + 1)), 20, mode=mode)
+        if run is accelerate_sequence:  # no preparation stage
+            streams -= 1
+        if isinstance(mode, AtIndex):  # no cut: the previous cell is read directly
+            streams -= 1
+        assert len(built) == streams
+
     @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
     @pytest.mark.parametrize("run", list(PIPELINES), ids=lambda f: f.__name__)
     def test_digits_stable_matches_explicit_rerun(self, run, method):

@@ -16,7 +16,6 @@ from seqaccel import (
     iota,
     last_defined,
     partial_sums,
-    stream_tail,
     take,
     zip_with,
 )
@@ -91,22 +90,6 @@ class TestCombinators:
         out = zip_with(div, from_values([1, 1]), from_values([0, 2]))
         assert isinstance(out.at(0), Undefined)
         assert out.at(1) == F(1, 2)
-
-    def test_tail(self):
-        assert_stream_equals(take(stream_tail(from_values([1, 2, 3])), 5), [2, 3])
-
-    def test_tail_of_constant_is_constant(self):
-        t = stream_tail(iota(F(7, 3), 0))
-        assert t.length is None
-        assert t.at(100) == F(7, 3)
-
-    def test_tail_shifts_iota(self):
-        t = stream_tail(iota(0, 1))
-        for i in range(5):
-            assert t.at(i) == iota(1, 1).at(i)
-
-    def test_tail_of_empty_stays_empty(self):
-        assert stream_tail(from_values([])).length == 0
 
     def test_iota_progressions(self):
         assert [iota(1, 1).at(i) for i in range(3)] == [1, 2, 3]

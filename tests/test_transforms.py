@@ -55,6 +55,41 @@ def kind_code(kind: Kind) -> str:
     return kind.value
 
 
+DZ = Undefined(UndefinedReason.DIV_BY_ZERO)
+ZZ = Undefined(UndefinedReason.INDETERMINATE_ZERO_OVER_ZERO)
+OOR = Undefined(UndefinedReason.OUT_OF_RANGE)
+
+
+def P(u: Undefined) -> Undefined:
+    return Undefined(UndefinedReason.PROPAGATED_FROM_INPUT, u.cause)
+
+
+# Streams that mix undefined causes.
+MIXED_CAUSES = {
+    "a": [1, 2, DZ, 4, 4, 4, 7, OOR, 9, 10, ZZ, 12],
+    "b": [0, 1, 0, 1, 2, 3, 5, 5, 8, ZZ, OOR, 13, 1, 1],
+    "c": [OOR, DZ, 1, ZZ, OOR, 2, 3, 3, DZ, 4, 6, 7, 9],
+}
+# Every cell of remainder_estimate on the MIXED_CAUSES streams (all of
+# them) and on an infinite stream (its first ten), with its length.
+REMAINDER_CELLS_WITH_CAUSES = [
+    ("a", Kind.T, 11, [1, P(DZ), P(DZ), 0, 0, 3, P(OOR), P(OOR), 1, P(ZZ), P(ZZ)]),
+    ("a", Kind.U, 11, [1, P(DZ), P(DZ), 0, 0, 18, P(OOR), P(OOR), 9, P(ZZ), P(ZZ)]),
+    ("a", Kind.V, 10, [P(DZ), P(DZ), P(DZ), ZZ, 0, P(OOR), P(OOR), P(OOR), P(ZZ), P(ZZ)]),
+    ("b", Kind.T, 13, [1, -1, 1, 1, 1, 2, 0, 3, P(ZZ), P(OOR), P(OOR), -12, 0]),
+    ("b", Kind.U, 13, [1, -2, 3, 4, 5, 12, 0, 24, P(ZZ), P(OOR), P(OOR), -144, 0]),
+    ("b", Kind.V, 12, [F(1, 2), F(-1, 2), DZ, DZ, 2, 0, 0, P(ZZ), P(OOR), P(OOR), P(OOR), 0]),
+    ("c", Kind.T, 12, [P(DZ), P(DZ), P(ZZ), P(OOR), P(OOR), 1, 0, P(DZ), P(DZ), 2, 1, 2]),
+    ("c", Kind.U, 12, [P(DZ), P(DZ), P(ZZ), P(OOR), P(OOR), 6, 0, P(DZ), P(DZ), 20, 11, 24]),
+    ("c", Kind.V, 11, [P(DZ), P(ZZ), P(OOR), P(OOR), P(OOR), 0, P(DZ), P(DZ), P(DZ), -2, 2]),
+    ("inf", Kind.T, None,
+     [F(1, 2), F(5, 6), F(8, 3), F(-7, 2), F(-1, 2), 1, 1, F(-2, 3), F(-1, 3), -1]),
+    ("inf", Kind.U, None, [F(1, 2), F(5, 3), 8, -14, F(-5, 2), 6, 7, F(-16, 3), -3, -10]),
+    ("inf", Kind.V, None,
+     [F(5, 4), F(40, 33), F(56, 37), F(7, 12), F(-1, 3), DZ, F(2, 5), F(2, 3), F(-1, 2), F(-1, 4)]),
+]
+
+
 class TestRemainderEstimate:
     def test_kind_t_is_forward_difference(self):
         out = remainder_estimate(Kind.T, from_values([1, 0, 1, 0]))
@@ -78,6 +113,27 @@ class TestRemainderEstimate:
             got = stream_cells(remainder_estimate(kind, from_values(values)), len(values))
             want = oracles.remainder_list(kind_code(kind), values)
             assert got[: len(want)] == want
+
+    @pytest.mark.parametrize(
+        "name,kind,length,want", REMAINDER_CELLS_WITH_CAUSES,
+        ids=[f"{name}-{kind.value}" for name, kind, _, _ in REMAINDER_CELLS_WITH_CAUSES],
+    )
+    def test_cells_reasons_causes_and_length(self, name, kind, length, want):
+        if name == "inf":
+            fn, source_length = (lambda i: F(i * i % 5, i % 3 + 1)), None
+        else:
+            fn, source_length = from_values(MIXED_CAUSES[name]).at, len(MIXED_CAUSES[name])
+        r = remainder_estimate(kind, NumStream(fn, source_length))
+        assert r.length == length
+        assert [r.at(i) for i in range(len(want))] == want
+        # Cell i forces s[i], s[i+1] (and s[i+2] for kind v); none past the end.
+        width = 3 if kind is Kind.V else 2
+        for i in range(len(want) + 2):
+            forced = set()
+            fresh = NumStream(lambda x: forced.add(x) or fn(x), source_length)
+            remainder_estimate(kind, fresh).at(i)
+            assert forced == (set() if length is not None and i >= length
+                              else set(range(i, i + width))), i
 
 
 class TestGInitial:
@@ -522,22 +578,8 @@ class TestLevinOrder2Form:
                 assert got == want, (values, kind)
 
 
-DZ = Undefined(UndefinedReason.DIV_BY_ZERO)
-ZZ = Undefined(UndefinedReason.INDETERMINATE_ZERO_OVER_ZERO)
-OOR = Undefined(UndefinedReason.OUT_OF_RANGE)
-
-
-def P(u: Undefined) -> Undefined:
-    return Undefined(UndefinedReason.PROPAGATED_FROM_INPUT, u.cause)
-
-
-# Streams that mix undefined causes, and every cell of Levin orders 1 and 2
-# on them with the exact reason and cause of each undefined cell.
-MIXED_CAUSES = {
-    "a": [1, 2, DZ, 4, 4, 4, 7, OOR, 9, 10, ZZ, 12],
-    "b": [0, 1, 0, 1, 2, 3, 5, 5, 8, ZZ, OOR, 13, 1, 1],
-    "c": [OOR, DZ, 1, ZZ, OOR, 2, 3, 3, DZ, 4, 6, 7, 9],
-}
+# Every cell of Levin orders 1 and 2 on the MIXED_CAUSES streams, with the
+# exact reason and cause of each undefined cell.
 LEVIN_CELLS_WITH_CAUSES = [
     ("a", 1, Kind.T,
      [P(DZ), P(DZ), P(DZ), 4, 4, P(OOR), P(OOR), P(OOR), P(ZZ), P(ZZ)]),
