@@ -114,7 +114,7 @@ def alternating_naturals_terms() -> NumStream:
 
 def leibniz_pi4_terms() -> NumStream:
     """Terms (-1)^j / (2j + 1); the partial sums converge to pi/4."""
-    return from_function(lambda i: Fraction((-1) ** i, 2 * i + 1))
+    return from_function(lambda i: Fraction(-1 if i & 1 else 1, 2 * i + 1))
 
 
 BUILTIN_SEQUENCES: dict[str, Callable[[], NumStream]] = {

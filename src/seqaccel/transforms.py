@@ -3,8 +3,9 @@
 Three classic remainder models (kinds t, u, v) feed two accelerator
 families:
 
-* the E-algorithm of any order, one triangular table of eliminations
-  over the input and the weight columns g(k, j); and
+* the E-algorithm of any order: one weighted sum per cell where its
+  pivots are nonzero, and otherwise one triangular table of
+  eliminations over the input and the weight columns g(k, j); and
 * Levin transforms of any order, one closed formula for all of them.
   Order 1 with the t model is Aitken's delta-squared process.
 
@@ -23,12 +24,22 @@ already collapsed a sequence to its (anti-)limit is not destroyed by
 applying a higher order. It saves work, not reads: E-algorithm cell i
 of order k >= 1 reads s[i..i+k+1] (kinds t, u) or s[i..i+k+2] (v).
 
-The E-algorithm table stores a fully defined row as integer numerators
-over one common denominator, Brezinski's ratio of determinants: one
-elimination is two integer products per column and one gcd per row.
+An E-algorithm cell i of order k >= 1 has a closed form wherever its
+elimination table has no zero pivot, because these weights solve the
+model exactly (Brezinski 1980; Sidi 2003). With n = x + 1 and t the top
+column (s, or g(0, j) for `g_algorithm`), the cell is
+Δᵏ[n^(k-1)·t/R] / Δᵏ[n^(k-1)/R] at i under TEXT, Levin's model, and
+Δᵏ[R·t] / Δᵏ[R] under CODE. Each cell first reads R[i..i+k] and t
+there; if all are defined, R has no zero, and an O(k²) triangle of
+word-sized residues modulo a prime proves every pivot nonzero, the cell
+is one weighted sum of integers and one `Fraction`. Every other cell,
+the degenerate ones included, is computed by the table, which stores a
+fully defined row as integer numerators over one common denominator:
+one elimination is two integer products per column and one gcd per row.
 A row with an undefined cell, and an elimination whose pivot difference
 is zero, go cell by cell through the one elimination step above, which
-alone holds the rules for degenerate cells.
+alone holds the rules for degenerate cells. Both routes give the same
+values, `Undefined` reasons and causes, and read the same window.
 """
 from __future__ import annotations
 
@@ -182,18 +193,86 @@ def _eliminated(below: tuple, above: tuple) -> tuple:
     return _row(tuple(_eliminate(a[c], b[c], a[1], b[1]) for c in range(len(a)) if c != 1))
 
 
+# Modulus of the pivot check. A zero residue only sends a cell to the
+# table, so any prime gives the same cells; a large one rarely does so
+# for a cell whose pivots are all nonzero.
+_PRIME = (1 << 61) - 1
+
+
+def _pivots_nonzero(i: int, ws: list[int], text: bool) -> bool:
+    """True when residues mod `_PRIME` prove every pivot of cell i nonzero.
+
+    ws[x - i] is 1/R[x] (text) or R[x] (code) times one common positive
+    integer, for x = i..i+k. Level m of the table has no zero pivot
+    exactly when Q_m(x) != 0 for x = i..i+k-m, where Q_1 = Δws and, for
+    m >= 2, Q_m is ΔQ_{m-1} (code) or, with n = x + 1, the recursive
+    Levin scheme of Fessler, Ford and Smith (text):
+    Q_m(x) = (n + m)·Q_{m-1}(x + 1) - n·Q_{m-1}(x) = Δᵐ[n^(m-1)·ws](x).
+    """
+    p = _PRIME
+    q = [w % p for w in ws]
+    for m in range(1, len(ws)):
+        if text and m > 1:
+            q = [((x + 1 + m) * b - (x + 1) * a) % p
+                 for x, a, b in zip(range(i, i + len(q)), q, q[1:])]
+        else:
+            q = [(b - a) % p for a, b in zip(q, q[1:])]
+        if not all(q):
+            return False
+    return True
+
+
+def _closed_form(i: int, r_win: list, t_win: list, text: bool) -> Fraction | None:
+    """Cell i of level k = len(r_win) - 1 as one weighted sum, or None.
+
+    Text: Δᵏ[n^(k-1)·t/R] / Δᵏ[n^(k-1)/R] at x = i, with n = x + 1;
+    code: Δᵏ[R·t] / Δᵏ[R]; t is the top column, read on R[i..i+k]'s
+    window. The table computes this ratio of determinants whenever its
+    pivots are nonzero (Brezinski 1980). None where a cell of the
+    window is undefined, R is 0, or `_pivots_nonzero` cannot prove every
+    pivot nonzero: the table computes those cells.
+    """
+    if first_undefined(*r_win, *t_win) or not all(r_win):
+        return None
+    k = len(r_win) - 1
+    # w[x] = ws[x] / v for 1/R (text) or R (code), over one v > 0.
+    if text:
+        v = lcm(*(c.numerator for c in r_win))
+        ws = [c.denominator * (v // c.numerator) for c in r_win]
+    else:
+        v = lcm(*(c.denominator for c in r_win))
+        ws = [c.numerator * (v // c.denominator) for c in r_win]
+    if not _pivots_nonzero(i, ws, text):
+        return None
+    # t[i] + Σⱼ Wⱼ·wⱼ·(t[i+j] - t[i]) / Σⱼ Wⱼ·wⱼ, the differences over one
+    # denominator e, with Wⱼ = (-1)^(k-j) C(k, j), times (i+1+j)^(k-1) for text.
+    weighted = [(-1) ** (k - j) * comb(k, j) * w * ((i + 1 + j) ** (k - 1) if text else 1)
+                for j, w in enumerate(ws)]
+    t0 = t_win[0]
+    diffs = [t - t0 for t in t_win[1:]]
+    e = lcm(*(c.denominator for c in diffs))
+    num = sum(w * c.numerator * (e // c.denominator) for w, c in zip(weighted[1:], diffs))
+    den = e * sum(weighted)
+    return Fraction(t0.numerator * den + t0.denominator * num, t0.denominator * den)
+
+
 def _table(kind: Kind, k: int, s: NumStream, convention: GConvention, j=None) -> NumStream:
     """Level k of the E-algorithm table; the top column is s, or g(0, j).
 
+    Output cell i reads R[i..i+k] and the top column there, then takes
+    its closed form (`_closed_form`) when all of its pivots are nonzero,
+    which an O(k²) check mod a prime proves, and the table otherwise.
     The row at level m and index x holds cell x of the top column and of
     g(m, m+1), ..., g(m, k); its second entry is the pivot that level
     m + 1 eliminates. Row x at level m comes from rows x and x+1 at level
-    m - 1, so output cell i fills the missing rows i..i+k-m of each level
-    m, bottom-up. A fully defined row is stored as integers over one
-    common denominator (`_row`), so an elimination costs one gcd per row;
-    only rows with an undefined cell, and zero pivots, take `_eliminate`.
+    m - 1, so a table cell i fills the missing rows i..i+k-m of each
+    level m, bottom-up. A fully defined row is stored as integers over
+    one common denominator (`_row`), so an elimination costs one gcd per
+    row; only rows with an undefined cell, and zero pivots, take
+    `_eliminate`.
     """
     r = remainder_estimate(kind, s)
+    text = convention is GConvention.TEXT
     rows: list[dict[int, tuple]] = [{} for _ in range(k + 1)]
 
     def level_zero(x: int) -> tuple:
@@ -202,6 +281,14 @@ def _table(kind: Kind, k: int, s: NumStream, convention: GConvention, j=None) ->
         return _row((top, *(_weight(c, x, rx, convention) for c in range(1, k + 1))))
 
     def compute(i: int) -> Element:
+        if k:
+            xs = range(i, i + k + 1)
+            r_win = [r.at(x) for x in xs]
+            t_win = ([s.at(x) for x in xs] if j is None else
+                     [_weight(j, x, rx, convention) for x, rx in zip(xs, r_win)])
+            value = _closed_form(i, r_win, t_win, text)
+            if value is not None:
+                return value
         for m, level in enumerate(rows):
             for x in range(i, i + k - m + 1):
                 if x not in level:  # rows are deterministic: write-once suffices

@@ -5,6 +5,7 @@ import sys
 import threading
 from collections import Counter
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -343,6 +344,127 @@ class TestEAlgorithm:
             assert stream_cells(g_algorithm(kind, k, j, s, conv), len(want)) == want
         assert calls["integer"] > 0 and calls["fallback"] > 0
         assert above_level_one > 0
+
+
+def _count_paths(monkeypatch) -> Counter:
+    """Count the cells `_closed_form` serves and the ones it leaves to the table."""
+    served = Counter()
+    closed_form = transforms._closed_form
+
+    def counted(*args):
+        value = closed_form(*args)
+        served["closed" if value is not None else "table"] += 1
+        return value
+
+    monkeypatch.setattr(transforms, "_closed_form", counted)
+    return served
+
+
+def _exact_pivots_nonzero(i: int, r_win: list, conv: GConvention) -> bool:
+    """Every pivot Δg(m-1, m) of cell i's table, eliminated in Fractions, is nonzero."""
+    xs = range(i, i + len(r_win))
+    columns = [[r * F(x + 1) ** (1 - c) if conv is GConvention.TEXT else F(x + 1) ** (c - 1) / r
+                for x, r in zip(xs, r_win)] for c in range(1, len(r_win))]
+    while columns:
+        b = columns[0]
+        db = [b1 - b0 for b0, b1 in zip(b, b[1:])]
+        if not all(db):
+            return False
+        columns = [[a0 - b0 * (a1 - a0) / d for a0, a1, b0, d in zip(a, a[1:], b, db)]
+                   for a in columns[1:]]
+    return True
+
+
+class TestClosedForm:
+    """A cell whose pivots are all nonzero takes one weighted sum; the rest take the table."""
+
+    UNDEFINED = [DZ, ZZ, OOR, P(DZ), P(ZZ), P(OOR)]
+
+    def test_matches_oracle_and_table_on_degenerate_streams(self, monkeypatch):
+        # Small spans give zeros, repeats and zero pivots; undefined cells of
+        # every reason and cause are mixed in. Each cell is read on a fresh
+        # pipeline, once as it is and once with the table alone, and the
+        # two must agree on value, reason, cause and the input cells forced.
+        served = _count_paths(monkeypatch)
+        rng = random.Random(1010)
+        for _ in range(80):
+            k = rng.randint(1, 9)
+            values = random_stream_values(rng, rng.randint(k + 1, k + 6), rng.choice([1, 2, 3, 9]))
+            for x in rng.sample(range(len(values)), rng.choice([0, 0, 1, 2])):
+                values[x] = rng.choice(self.UNDEFINED)
+            kind, conv, j = rng.choice(KINDS), rng.choice(CONVENTIONS), rng.randint(1, k + 2)
+
+            def read(build, i: int, table_only: bool):
+                forced = []
+                out = build(NumStream(lambda x: forced.append(x) or values[x], len(values)))
+                with monkeypatch.context() as m:
+                    if table_only:
+                        m.setattr(transforms, "_closed_form", lambda *args: None)
+                    return out.length, out.at(i), forced
+
+            for build in (lambda s: e_algorithm(kind, k, s, conv),
+                          lambda s: g_algorithm(kind, k, j, s, conv)):
+                for i in range(len(values) - k + 1):
+                    assert read(build, i, False) == read(build, i, True), (
+                        values, kind, conv, k, j, i)
+            plain = [None if isinstance(v, Undefined) else v for v in values]
+            want = oracles.ealg_list(kind_code(kind), k, plain, conv.value)
+            assert stream_cells(e_algorithm(kind, k, from_values(values), conv), len(want)) == want
+            want = oracles.galg_list(kind_code(kind), k, j, plain, conv.value)
+            got = stream_cells(g_algorithm(kind, k, j, from_values(values), conv), len(want))
+            assert got == want, (values, kind, conv, k, j)
+        assert served["closed"] > 100 and served["table"] > 100, served
+
+    def test_nondegenerate_cell_skips_the_table(self, monkeypatch):
+        calls = Counter()
+        for name in ("_eliminated", "_eliminate"):
+            def counted(*args, name=name, fn=getattr(transforms, name)):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(transforms, name, counted)
+        values = [F(1, i * i + 3) for i in range(64)]
+        k, cell = 60, e_algorithm(Kind.V, 60, from_values(values)).at(0)
+        assert not calls
+        # Δᵏ[n^(k-1)·s/R] / Δᵏ[n^(k-1)/R] at 0, with n = x + 1, in Fractions.
+        r = remainder_estimate(Kind.V, from_values(values))
+        num = den = F(0)
+        for j in range(k + 1):
+            w = (-1) ** (k - j) * comb(k, j) * F(j + 1) ** (k - 1) / r.at(j)
+            num, den = num + w * values[j], den + w
+        assert cell == num / den
+
+    def test_small_prime_sends_cells_to_the_table(self, monkeypatch):
+        # Mod 3 many residues of nonzero pivots vanish; the table then
+        # computes those cells, and every cell still equals the oracle.
+        monkeypatch.setattr(transforms, "_PRIME", 3)
+        served = _count_paths(monkeypatch)
+        rng = random.Random(33)
+        for _ in range(40):
+            k = rng.randint(1, 8)
+            values = nondegenerate_stream_values(rng, rng.randint(k + 3, k + 6))
+            kind, conv, j = rng.choice(KINDS), rng.choice(CONVENTIONS), rng.randint(1, k + 2)
+            s = from_values(values)
+            want = oracles.ealg_list(kind_code(kind), k, values, conv.value)
+            assert stream_cells(e_algorithm(kind, k, s, conv), len(want)) == want
+            want = oracles.galg_list(kind_code(kind), k, j, values, conv.value)
+            assert stream_cells(g_algorithm(kind, k, j, s, conv), len(want)) == want
+        assert served["closed"] > 0 and served["table"] > 0, served
+
+    def test_check_passes_exactly_where_no_pivot_vanishes(self):
+        # R windows from a small span: about half of them make a pivot zero.
+        rng = random.Random(4000)
+        outcomes = Counter()
+        for _ in range(4000):
+            k, i = rng.randint(1, 6), rng.randint(0, 4)
+            span = rng.choice([1, 2, 3])
+            r_win = [F(rng.choice([-1, 1]) * rng.randint(1, span), rng.randint(1, span))
+                     for _ in range(k + 1)]
+            conv = rng.choice(CONVENTIONS)
+            passed = transforms._closed_form(i, r_win, [F(1)] * (k + 1),
+                                             conv is GConvention.TEXT) is not None
+            assert passed == _exact_pivots_nonzero(i, r_win, conv), (i, r_win, conv)
+            outcomes[passed] += 1
+        assert outcomes[False] > 1000 and outcomes[True] > 1000, outcomes
 
 
 class TestSharedTable:
