@@ -132,8 +132,11 @@ def div(a: Element, b: Element) -> Element:
     return a / b
 
 
-_SCALAR_RE = re.compile(r"([+-]?)(\d+)(?:/(\d+)|\.(\d+))?")
+_SCALAR_RE = re.compile(r"([+-]?)(\d+)(?:/(\d+)|(?:\.(\d+))?(?:[eE]([+-]?)0*(\d+))?)")
 _CHUNK = 4000  # digits per int() call: under the interpreter's 4300-digit limit
+# Largest |e| in "<decimal>e<e>": 10^e is then at most ~332,000 bits, and a
+# hostile exponent is an error instead of a huge power of 10.
+_MAX_EXPONENT = 100_000
 
 
 def _digits_to_int(digits: str) -> int:
@@ -146,21 +149,29 @@ def _digits_to_int(digits: str) -> int:
 
 
 def parse_scalar(text: str) -> Scalar:
-    """Parse an integer, rational "p/q" or plain decimal literal exactly.
+    """Parse an integer, rational "p/q" or decimal literal exactly.
 
-    Literals of any length are accepted. Raises ValueError for anything
-    outside that grammar (including a zero denominator).
+    A decimal may carry an exponent, as `render_decimal` writes it:
+    "1.0e3", "-2.5E-7". Literals of any length are accepted; |exponent|
+    is at most `_MAX_EXPONENT`. Raises ValueError for anything outside
+    that grammar (including a zero denominator).
     """
     token = text.strip()
     match = _SCALAR_RE.fullmatch(token)
     if not match:
         raise ValueError(f"invalid numeric literal: {token!r}")
-    sign, whole, den, frac = match.groups()
+    sign, whole, den, frac, exp_sign, exp = match.groups()
     frac = frac or ""
     num = _digits_to_int(whole + frac)
     den = _digits_to_int(den) if den else 10 ** len(frac)
     if den == 0:
         raise ValueError(f"zero denominator in literal: {token!r}")
+    if exp:
+        if len(exp) > len(str(_MAX_EXPONENT)) or int(exp) > _MAX_EXPONENT:
+            raise ValueError(f"exponent out of range (|e| <= {_MAX_EXPONENT}) "
+                             f"in literal: {token!r}")
+        scale = 10 ** int(exp)
+        num, den = (num, den * scale) if exp_sign == "-" else (num * scale, den)
     return Fraction(-num if sign == "-" else num, den)
 
 
@@ -213,7 +224,8 @@ def render_decimal(value: Element, sig_digits: int) -> str:
 
     Positional notation is used when the leading digit falls between 1e-4
     and the requested precision; otherwise scientific notation ("1.024e5",
-    "3.3333e-7") keeps the digit count honest. Undefined cells become
+    "3.3333e-7") keeps the digit count honest; `parse_scalar` reads both
+    forms back (exponents up to `_MAX_EXPONENT`). Undefined cells become
     "undefined(<cause>)". The decimal separator is always ".".
     """
     if sig_digits < 1:

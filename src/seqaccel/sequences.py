@@ -154,8 +154,8 @@ def load_sequence(path) -> NumStream:
     """Parse a sequence file into a finite stream, in file order.
 
     Grammar per non-blank line: optional sign, digits, then optionally
-    "/digits" or ".digits". Text after "#" is a comment. An empty file is
-    an empty stream.
+    "/digits", or ".digits" and an exponent "e[+-]digits" (`parse_scalar`).
+    Text after "#" is a comment. An empty file is an empty stream.
     """
     path = Path(path)
     values = []

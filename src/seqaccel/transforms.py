@@ -1,13 +1,8 @@
 """Sequence transformations that accelerate convergence.
 
 Three classic remainder models (kinds t, u, v) feed two accelerator
-families:
-
-* the E-algorithm of any order: one weighted sum per cell where its
-  pivots are nonzero, and otherwise one triangular table of
-  eliminations over the input and the weight columns g(k, j); and
-* Levin transforms of any order, one closed formula for all of them.
-  Order 1 with the t model is Aitken's delta-squared process.
+families of any order, the E-algorithm and Levin transforms. Order-1
+Levin with the t model is Aitken's delta-squared process.
 
 Two conventions for the order-0 weights circulate in the literature and
 are **not** equivalent: g(0, j)[n] = n^(1-j) * R[n] (`GConvention.TEXT`)
@@ -24,15 +19,19 @@ already collapsed a sequence to its (anti-)limit is not destroyed by
 applying a higher order. It saves work, not reads: E-algorithm cell i
 of order k >= 1 reads s[i..i+k+1] (kinds t, u) or s[i..i+k+2] (v).
 
-An E-algorithm cell i of order k >= 1 has a closed form wherever its
-elimination table has no zero pivot, because these weights solve the
-model exactly (Brezinski 1980; Sidi 2003). With n = x + 1 and t the top
-column (s, or g(0, j) for `g_algorithm`), the cell is
-Δᵏ[n^(k-1)·t/R] / Δᵏ[n^(k-1)/R] at i under TEXT, Levin's model, and
-Δᵏ[R·t] / Δᵏ[R] under CODE. Each cell first reads R[i..i+k] and t
-there; if all are defined, R has no zero, and an O(k²) triangle of
-word-sized residues modulo a prime proves every pivot nonzero, the cell
-is one weighted sum of integers and one `Fraction`. Every other cell,
+Both families compute cell i of order k >= 1 with one kernel,
+`_weighted_ratio`: Δᵏ[n^(k-1)·w·t] / Δᵏ[n^(k-1)·w] at n = n0, one
+weighted sum of integers and one `Fraction`. Levin has t = s, w = 1/R
+and n0 = i; where R[i..i+k] has zeros, the cell is s[i+j] for a lone
+zero R[i+j] (`zero-over-zero` if (i+j)^(k-1) = 0) and `zero-over-zero`
+for two or more. An E-algorithm cell has this form wherever its
+elimination table has no zero pivot, since these weights solve the
+model exactly (Brezinski 1980; Sidi 2003): t is the top column (s, or
+g(0, j) for `g_algorithm`), and w = 1/R with n0 = i + 1 (TEXT, Levin's
+model with n = x + 1) or w = R with no power of n (CODE). Each cell
+first reads R[i..i+k] and t there; if all are defined, R has no zero,
+and an O(k²) triangle of word-sized residues modulo a prime proves
+every pivot nonzero, the kernel computes the cell. Every other cell,
 the degenerate ones included, is computed by the table, which stores a
 fully defined row as integer numerators over one common denominator:
 one elimination is two integer products per column and one gcd per row.
@@ -46,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import comb, gcd, lcm, prod
+from math import comb, gcd, lcm
 
 from .scalars import (
     Element,
@@ -173,6 +172,12 @@ def _cells(row: tuple) -> tuple[Element, ...]:
     return n if d is None else tuple(Fraction(v, d) for v in n)
 
 
+def _reciprocals(cells: list) -> list[int]:
+    """1/c for each nonzero rational c, times one common integer v > 0."""
+    v = lcm(*(c.numerator for c in cells))
+    return [c.denominator * (v // c.numerator) for c in cells]
+
+
 def _eliminated(below: tuple, above: tuple) -> tuple:
     """Row x at level m + 1 from rows x and x + 1 at level m; pivot column 1.
 
@@ -223,37 +228,39 @@ def _pivots_nonzero(i: int, ws: list[int], text: bool) -> bool:
 
 
 def _closed_form(i: int, r_win: list, t_win: list, text: bool) -> Fraction | None:
-    """Cell i of level k = len(r_win) - 1 as one weighted sum, or None.
+    """Cell i of level k = len(r_win) - 1 by `_weighted_ratio`, or None.
 
-    Text: Δᵏ[n^(k-1)·t/R] / Δᵏ[n^(k-1)/R] at x = i, with n = x + 1;
-    code: Δᵏ[R·t] / Δᵏ[R]; t is the top column, read on R[i..i+k]'s
-    window. The table computes this ratio of determinants whenever its
-    pivots are nonzero (Brezinski 1980). None where a cell of the
-    window is undefined, R is 0, or `_pivots_nonzero` cannot prove every
-    pivot nonzero: the table computes those cells.
+    Text: w = 1/R, n0 = i + 1; code: w = R, no power of n; t is the top
+    column on R[i..i+k]'s window. None where a cell of the window is
+    undefined, R is 0, or `_pivots_nonzero` cannot prove every pivot
+    nonzero: the table computes those cells.
     """
     if first_undefined(*r_win, *t_win) or not all(r_win):
         return None
-    k = len(r_win) - 1
-    # w[x] = ws[x] / v for 1/R (text) or R (code), over one v > 0.
-    if text:
-        v = lcm(*(c.numerator for c in r_win))
-        ws = [c.denominator * (v // c.numerator) for c in r_win]
-    else:
-        v = lcm(*(c.denominator for c in r_win))
-        ws = [c.numerator * (v // c.denominator) for c in r_win]
+    ws = _reciprocals(r_win) if text else _row(r_win)[1]
     if not _pivots_nonzero(i, ws, text):
         return None
-    # t[i] + Σⱼ Wⱼ·wⱼ·(t[i+j] - t[i]) / Σⱼ Wⱼ·wⱼ, the differences over one
-    # denominator e, with Wⱼ = (-1)^(k-j) C(k, j), times (i+1+j)^(k-1) for text.
-    weighted = [(-1) ** (k - j) * comb(k, j) * w * ((i + 1 + j) ** (k - 1) if text else 1)
+    return _weighted_ratio(ws, t_win, i + 1 if text else None)
+
+
+def _weighted_ratio(ws: list[int], t_win: list, n0: int | None) -> Element:
+    """t[0] + Σⱼ Wⱼ·wⱼ·(t[j] - t[0]) / Σⱼ Wⱼ·wⱼ over j = 0..k = len(ws) - 1.
+
+    Wⱼ = (-1)^(k-j) C(k, j), times (n0 + j)^(k-1) unless n0 is None: the
+    ratio Δᵏ[n^(k-1)·w·t] / Δᵏ[n^(k-1)·w] at n = n0, or Δᵏ[w·t] / Δᵏ[w].
+    Integers throughout, the differences over one denominator (they stay
+    small where t[0] is a large rational), then one `Fraction` added to
+    t[0]; a zero denominator is undefined as in `div`.
+    """
+    k = len(ws) - 1
+    weighted = [(-1) ** (k - j) * comb(k, j) * w * (1 if n0 is None else (n0 + j) ** (k - 1))
                 for j, w in enumerate(ws)]
     t0 = t_win[0]
     diffs = [t - t0 for t in t_win[1:]]
     e = lcm(*(c.denominator for c in diffs))
     num = sum(w * c.numerator * (e // c.denominator) for w, c in zip(weighted[1:], diffs))
     den = e * sum(weighted)
-    return Fraction(t0.numerator * den + t0.denominator * num, t0.denominator * den)
+    return t0 + Fraction(num, den) if den else div(num, den)
 
 
 def _table(kind: Kind, k: int, s: NumStream, convention: GConvention, j=None) -> NumStream:
@@ -336,22 +343,22 @@ def levin(kind: Kind, k: int, s: NumStream) -> NumStream:
 
     With R the remainder estimate of s, cell i of order k >= 1 is
     Σⱼ wⱼ s[i+j]/R[i+j] ÷ Σⱼ wⱼ/R[i+j] over j = 0..k, with
-    wⱼ = (-1)^(k-j) C(k, j) (i+j)^(k-1), evaluated multiplied through by
-    R[i]···R[i+k] so that a zero R does not by itself leave the cell
-    undefined. Order 1 keeps the short-circuit rule: when Δs[i]·R[i] = 0
-    the cell is s[i] and R[i+1] is not read. From order 2 on, a zero
-    denominator is undefined as in `div`. An undefined operand makes the
-    cell undefined with the cause of the first one in summand order
-    (see `_summand_operands`). Order 1 with kind T is `aitken`. Kind u
-    scales R[i] by i + 1 while the weights use (i+j)^(k-1), so from order
-    2 on it is a modified u transform, the textbook variant u for no β.
+    wⱼ = (-1)^(k-j) C(k, j) (i+j)^(k-1): `_weighted_ratio` with n0 = i.
+    A lone zero R[i+j] makes the cell s[i+j], or `zero-over-zero` where
+    (i+j)^(k-1) = 0 (i = j = 0, k >= 2); two or more make it
+    `zero-over-zero`. Order 1 keeps the short-circuit rule: when
+    Δs[i]·R[i] = 0 the cell is s[i] and R[i+1] is not read. From order 2
+    on, a zero denominator is undefined as in `div`. An undefined operand
+    makes the cell undefined with the cause of the first one in summand
+    order (see `_summand_operands`). Order 1 with kind T is `aitken`.
+    Kind u scales R[i] by i + 1 while the weights use (i+j)^(k-1), so
+    from order 2 on it is a modified u, the textbook variant u for no β.
     """
     if k < 0:
         raise ValueError(f"order must be >= 0, got {k}")
     if k == 0:
         return s
     r = remainder_estimate(kind, s)
-    signed_binomials = [(-1) ** (k - j) * comb(k, j) for j in range(k + 1)]
 
     def compute(i: int) -> Element:
         s_win = [s.at(i + j) for j in range(k + 1)]
@@ -366,25 +373,17 @@ def levin(kind: Kind, k: int, s: NumStream) -> NumStream:
         u = first_undefined(*_summand_operands(s_win, r_win))
         if u:
             return propagated(u)
-        # s[i] + N'/D with N' = Σⱼ wⱼ (s[i+j] - s[i]) Pⱼ and D = Σⱼ wⱼ Pⱼ,
-        # where Pⱼ is R[i]···R[i+k] without R[i+j]. N'/D equals the
-        # transform minus s[i]; the differences s[i+j] - s[i] keep the
-        # operands small where s[i] itself is a large rational.
-        s0 = s_win[0]
-        p = [prod(r_win[:j] + r_win[j + 1:], start=c * (i + j) ** (k - 1))
-             for j, c in enumerate(signed_binomials)]
-        num = sum(pj * (sj - s0) for pj, sj in zip(p[1:], s_win[1:]))
-        den = sum(p)
-        if den == 0:
-            return div(num, den)
-        return s0 + num / den
+        # ws[j] is ∏ R[i+m] over m != j, divided by the product of the nonzero R.
+        lone_zero = r_win.count(0) == 1
+        ws = [int(lone_zero and c == 0) for c in r_win] if 0 in r_win else _reciprocals(r_win)
+        return _weighted_ratio(ws, s_win, i)
 
     length = None if r.length is None else max(r.length - k, 0)
     return NumStream(compute, length)
 
 
 def _summand_operands(s_win: list, r_win: list):
-    """Operands of the summands wⱼ s[i+j] Pⱼ, from j = k down to 0.
+    """Operands of the summands wⱼ s[i+j] ∏ R[i+m] (m != j), j = k down to 0.
 
     Each summand yields s[i+j] and then R[i+m] for m = k down to 0,
     m != j; the first undefined one names the cell's cause.

@@ -8,6 +8,7 @@ the acceptance suite compare the lazy stream pipeline against these.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 
 def delta_list(s):
@@ -172,6 +173,31 @@ def levin_list(kind, k, s):
     for _ in range(k):
         num, den = delta_list(num), delta_list(den)
     return [None if (a is None or b is None or b == 0) else a / b for a, b in zip(num, den)]
+
+
+def levin_product_list(kind, k, s):
+    """Order-k Levin transform (k >= 2) as Σⱼ wⱼ s[i+j] Pⱼ ÷ Σⱼ wⱼ Pⱼ.
+
+    Pⱼ = ∏ R[i+m] over m != j and wⱼ = (-1)^(k-j) C(k, j) (i+j)^(k-1): the
+    form cleared of the denominators R, so a zero R is allowed. An
+    undefined operand or a zero denominator makes the cell undefined.
+    """
+    r = remainder_list(kind, s)
+    out = []
+    for i in range(len(r) - k):
+        if any(c is None for c in s[i:i + k + 1] + r[i:i + k + 1]):
+            out.append(None)
+            continue
+        num = den = Fraction(0)
+        for j in range(k + 1):
+            p = Fraction((-1) ** (k - j) * comb(k, j) * (i + j) ** (k - 1))
+            for m in range(k + 1):
+                if m != j:
+                    p *= r[i + m]
+            num += p * s[i + j]
+            den += p
+        out.append(None if den == 0 else num / den)
+    return out
 
 
 def partial_sums_list(terms):

@@ -168,6 +168,26 @@ class TestTable:
         assert rows[4][0] == "4"
         assert rows[4][2] == "undefined(out-of-range)"
 
+    def test_printed_column_reads_back(self, capsys, tmp_path):
+        # Catalan numbers from C(10) = 16796 on print in scientific
+        # notation at 4 digits; the printed column is read back through --input.
+        table = ["table", "--order", "0", "--terms", "30", "--digits", "4"]
+        code, out, _ = run_cli(capsys, *table, "--generator", "catalan")
+        column = [line.split("\t")[1] for line in out.splitlines()]
+        assert code == 0 and "1.680e4" in column and "1.002e15" in column
+        path = tmp_path / "printed.txt"
+        path.write_text("\n".join(column) + "\n")
+        code, again, err = run_cli(capsys, *table, "--input", str(path))
+        assert (code, err) == (0, "")
+        assert [line.split("\t")[1] for line in again.splitlines()] == column
+
+    def test_exponent_out_of_range_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "seq.txt"
+        path.write_text("1\n1e999999999\n")
+        code, out, err = run_cli(capsys, "table", "--input", str(path), "--terms", "2")
+        assert (code, out) == (1, "")
+        assert "line 2" in err and "exponent out of range" in err
+
 
 class TestUsageErrors:
     def test_unknown_generator(self, capsys):

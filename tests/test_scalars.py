@@ -1,8 +1,9 @@
+import decimal
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from seqaccel.scalars import (
     Undefined,
@@ -145,6 +146,28 @@ class TestRenderDecimal:
         parsed = F(text)
         assert abs(parsed - a) < F(10) ** (1 - digits) * abs(a)
 
+    @given(a=rationals, digits=st.integers(min_value=1, max_value=12),
+           scale=st.integers(min_value=-12, max_value=12) | st.integers(-40_000, 40_000))
+    @example(a=F(1024), scale=0, digits=2)  # "1.0e3"
+    @example(a=F(-1, 3), scale=-7, digits=5)  # "-3.3333e-8"
+    @example(a=F(2, 3), scale=0, digits=4)  # "0.6667"
+    def test_parse_reads_render_back(self, a, scale, digits):
+        x = a * F(10) ** scale
+        assert parse_scalar(render_decimal(x, digits)) == _rounded(x, digits)
+
+    def test_long_values_read_back(self):
+        for n, x in enumerate(_ilog10_cases()):
+            digits = (1, 7, 40)[n % 3]
+            assert parse_scalar(render_decimal(x, digits)) == _rounded(x, digits)
+
+
+def _rounded(x: Fraction, digits: int) -> Fraction:
+    """x to `digits` significant digits, ties to even: the decimal module's
+    division is correctly rounded."""
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.rounding = digits, decimal.ROUND_HALF_EVEN
+        return F(decimal.Decimal(x.numerator) / decimal.Decimal(x.denominator))
+
 
 def _ilog10_cases():
     """Seeded rationals of 1 to 40,000 digits, powers of ten and 10^k ± 1."""
@@ -192,14 +215,26 @@ class TestParseScalar:
         ("0.25", F(1, 4)),
         ("-1.5", F(-3, 2)),
         (" 12 ", F(12)),
+        ("1.0e3", F(1000)),
+        ("-2.5E-7", F(-1, 4_000_000)),
+        ("+7e+02", F(700)),
+        ("1e00000000000005", F(100_000)),
     ])
     def test_accepted(self, text, want):
         assert parse_scalar(text) == want
 
-    @pytest.mark.parametrize("text", ["abc", "1/2/3", "1.2.3", "1e3", "", "/2", "2/", "1 2"])
+    @pytest.mark.parametrize("text", ["abc", "1/2/3", "1.2.3", "1e", "", "/2", "2/", "1 2"])
     def test_rejected(self, text):
         with pytest.raises(ValueError):
             parse_scalar(text)
+
+    def test_exponent_is_bounded(self):
+        assert parse_scalar("1e100000") == 10 ** 100_000
+        assert parse_scalar("-1e-100000") == F(-1, 10 ** 100_000)
+        # Rejected before any power of ten is built, whatever the length.
+        for text in ("1e100001", "2.5e-100001", "1e999999999", "1e" + "9" * 5000):
+            with pytest.raises(ValueError, match="exponent out of range"):
+                parse_scalar(text)
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ValueError, match="denominator"):
@@ -217,7 +252,8 @@ class TestParseScalar:
 class TestStringElements:
     """Strings become scalars through `parse_scalar`: one literal grammar."""
 
-    @pytest.mark.parametrize("text", ["1e5", " 1_000 ", ".5", "3.", "nan", "0x10"])
+    @pytest.mark.parametrize("text", ["1e5.5", " 1_000 ", ".5", "3.", "nan", "0x10",
+                                      "1e+", "e5", "1.e3", "1/2e3", "1e 3"])
     def test_outside_the_grammar_rejected(self, text):
         for coerce in (lambda t: from_values([1, t]), lambda t: iota(t, 1),
                        lambda t: iota(0, t), lambda t: render_decimal(t, 3)):

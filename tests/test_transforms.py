@@ -558,7 +558,7 @@ class TestLevin:
 
     def test_any_order_matches_difference_oracle(self):
         rng = random.Random(1973)
-        for k in range(1, 7):
+        for k in [*range(1, 7), 12, 24]:
             for _ in range(12):
                 values = nondegenerate_stream_values(rng, rng.randint(k + 3, k + 6))
                 for kind in KINDS:
@@ -566,6 +566,16 @@ class TestLevin:
                     got = levin(kind, k, from_values(values))
                     assert got.length == len(want)
                     assert stream_cells(got, len(want)) == want, (values, kind, k)
+
+    @given(values=st.lists(st.integers(-2, 2), min_size=5, max_size=14))
+    def test_zero_remainders_match_product_form(self, values):
+        # Few distinct values put zeros in R: one zero R[i+j] leaves s[i+j]
+        # (undefined where its weight is 0), two or more leave no summand.
+        for k in (3, 4, 6):
+            for kind in KINDS:
+                want = oracles.levin_product_list(kind_code(kind), k, [F(v) for v in values])
+                got = levin(kind, k, from_values(values))
+                assert stream_cells(got, len(want)) == want, (values, kind, k)
 
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
