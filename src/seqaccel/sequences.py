@@ -12,8 +12,8 @@ against the closed form. `open_source(name)` looks a built-in up by its
 CLI name.
 
 External data arrives through `load_sequence`: one value per line,
-integers, "p/q" rationals or plain decimals, "#" comments and blank
-lines ignored.
+integers, "p/q" rationals, decimals or "undefined(<cause>)", "#"
+comments and blank lines ignored.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable
 
-from .scalars import parse_scalar
+from .scalars import Undefined, UndefinedReason, parse_scalar
 from .streams import NumStream, from_function, from_values
 
 __all__ = [
@@ -150,12 +150,17 @@ class SequenceParseError(ValueError):
         super().__init__(f"{path}: line {line_no}: {detail}")
 
 
+_UNDEFINED = {f"undefined({reason.value})": Undefined(reason) for reason in UndefinedReason}
+
+
 def load_sequence(path) -> NumStream:
     """Parse a sequence file into a finite stream, in file order.
 
     Grammar per non-blank line: optional sign, digits, then optionally
-    "/digits", or ".digits" and an exponent "e[+-]digits" (`parse_scalar`).
-    Text after "#" is a comment. An empty file is an empty stream.
+    "/digits", or ".digits" and an exponent "e[+-]digits" (`parse_scalar`);
+    or "undefined(<cause>)" with <cause> an `UndefinedReason` value, read
+    as `Undefined(<cause>)`, the form `render_decimal` prints an undefined
+    cell in. Text after "#" is a comment. An empty file is an empty stream.
     """
     path = Path(path)
     values = []
@@ -165,7 +170,7 @@ def load_sequence(path) -> NumStream:
             if not token:
                 continue
             try:
-                values.append(parse_scalar(token))
+                values.append(_UNDEFINED[token] if token in _UNDEFINED else parse_scalar(token))
             except ValueError as exc:
                 raise SequenceParseError(path, line_no, token, str(exc)) from None
     return from_values(values)

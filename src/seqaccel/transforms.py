@@ -30,15 +30,16 @@ model exactly (Brezinski 1980; Sidi 2003): t is the top column (s, or
 g(0, j) for `g_algorithm`), and w = 1/R with n0 = i + 1 (TEXT, Levin's
 model with n = x + 1) or w = R with no power of n (CODE). Each cell
 first reads R[i..i+k] and t there; if all are defined, R has no zero,
-and an O(k²) triangle of word-sized residues modulo a prime proves
-every pivot nonzero, the kernel computes the cell. Every other cell,
-the degenerate ones included, is computed by the table, which stores a
-fully defined row as integer numerators over one common denominator:
-one elimination is two integer products per column and one gcd per row.
-A row with an undefined cell, and an elimination whose pivot difference
-is zero, go cell by cell through the one elimination step above, which
-alone holds the rules for degenerate cells. Both routes give the same
-values, `Undefined` reasons and causes, and read the same window.
+and an exact O(k²) triangle shows every pivot nonzero, the kernel
+computes the cell. Every other cell (an undefined cell in the window,
+a zero R or a zero pivot) is computed by the table from the window it
+read; the table stores a fully defined row as integer numerators over
+one common denominator: one elimination is two integer products per
+column and one gcd per row. A row with an undefined cell, and an
+elimination whose pivot difference is zero, go cell by cell through the
+one elimination step above, which alone holds the rules for degenerate
+cells. Both routes give the same values, `Undefined` reasons and
+causes, and read the same window, once.
 """
 from __future__ import annotations
 
@@ -198,14 +199,8 @@ def _eliminated(below: tuple, above: tuple) -> tuple:
     return _row(tuple(_eliminate(a[c], b[c], a[1], b[1]) for c in range(len(a)) if c != 1))
 
 
-# Modulus of the pivot check. A zero residue only sends a cell to the
-# table, so any prime gives the same cells; a large one rarely does so
-# for a cell whose pivots are all nonzero.
-_PRIME = (1 << 61) - 1
-
-
 def _pivots_nonzero(i: int, ws: list[int], text: bool) -> bool:
-    """True when residues mod `_PRIME` prove every pivot of cell i nonzero.
+    """True when every pivot of cell i's elimination table is nonzero.
 
     ws[x - i] is 1/R[x] (text) or R[x] (code) times one common positive
     integer, for x = i..i+k. Level m of the table has no zero pivot
@@ -214,14 +209,12 @@ def _pivots_nonzero(i: int, ws: list[int], text: bool) -> bool:
     Levin scheme of Fessler, Ford and Smith (text):
     Q_m(x) = (n + m)·Q_{m-1}(x + 1) - n·Q_{m-1}(x) = Δᵐ[n^(m-1)·ws](x).
     """
-    p = _PRIME
-    q = [w % p for w in ws]
+    q = ws
     for m in range(1, len(ws)):
         if text and m > 1:
-            q = [((x + 1 + m) * b - (x + 1) * a) % p
-                 for x, a, b in zip(range(i, i + len(q)), q, q[1:])]
+            q = [(x + 1 + m) * b - (x + 1) * a for x, a, b in zip(range(i, i + len(q)), q, q[1:])]
         else:
-            q = [(b - a) % p for a, b in zip(q, q[1:])]
+            q = [b - a for a, b in zip(q, q[1:])]
         if not all(q):
             return False
     return True
@@ -232,8 +225,8 @@ def _closed_form(i: int, r_win: list, t_win: list, text: bool) -> Fraction | Non
 
     Text: w = 1/R, n0 = i + 1; code: w = R, no power of n; t is the top
     column on R[i..i+k]'s window. None where a cell of the window is
-    undefined, R is 0, or `_pivots_nonzero` cannot prove every pivot
-    nonzero: the table computes those cells.
+    undefined, R is 0, or a pivot is 0 (`_pivots_nonzero`): the table
+    computes those cells.
     """
     if first_undefined(*r_win, *t_win) or not all(r_win):
         return None
@@ -266,41 +259,40 @@ def _weighted_ratio(ws: list[int], t_win: list, n0: int | None) -> Element:
 def _table(kind: Kind, k: int, s: NumStream, convention: GConvention, j=None) -> NumStream:
     """Level k of the E-algorithm table; the top column is s, or g(0, j).
 
-    Output cell i reads R[i..i+k] and the top column there, then takes
-    its closed form (`_closed_form`) when all of its pivots are nonzero,
-    which an O(k²) check mod a prime proves, and the table otherwise.
-    The row at level m and index x holds cell x of the top column and of
-    g(m, m+1), ..., g(m, k); its second entry is the pivot that level
-    m + 1 eliminates. Row x at level m comes from rows x and x+1 at level
-    m - 1, so a table cell i fills the missing rows i..i+k-m of each
-    level m, bottom-up. A fully defined row is stored as integers over
-    one common denominator (`_row`), so an elimination costs one gcd per
-    row; only rows with an undefined cell, and zero pivots, take
-    `_eliminate`.
+    Output cell i reads R[i..i+k] and the top column there once, then
+    takes its closed form (`_closed_form`) when all of its pivots are
+    nonzero, and the table otherwise. The row at level m and index x
+    holds cell x of the top column and of g(m, m+1), ..., g(m, k); its
+    second entry is the pivot that level m + 1 eliminates. Level 0 is
+    built from the window the cell read; row x at level m >= 1 comes
+    from rows x and x+1 at level m - 1, so a table cell i fills the
+    missing rows i..i+k-m of each level m, bottom-up. A fully defined
+    row is stored as integers over one common denominator (`_row`), so
+    an elimination costs one gcd per row; only rows with an undefined
+    cell, and zero pivots, take `_eliminate`.
     """
     r = remainder_estimate(kind, s)
     text = convention is GConvention.TEXT
     rows: list[dict[int, tuple]] = [{} for _ in range(k + 1)]
 
-    def level_zero(x: int) -> tuple:
-        rx = r.at(x)
-        top = s.at(x) if j is None else _weight(j, x, rx, convention)
-        return _row((top, *(_weight(c, x, rx, convention) for c in range(1, k + 1))))
-
     def compute(i: int) -> Element:
+        xs = range(i, i + k + 1)
+        r_win = [r.at(x) for x in xs]
+        t_win = ([s.at(x) for x in xs] if j is None else
+                 [_weight(j, x, rx, convention) for x, rx in zip(xs, r_win)])
         if k:
-            xs = range(i, i + k + 1)
-            r_win = [r.at(x) for x in xs]
-            t_win = ([s.at(x) for x in xs] if j is None else
-                     [_weight(j, x, rx, convention) for x, rx in zip(xs, r_win)])
             value = _closed_form(i, r_win, t_win, text)
             if value is not None:
                 return value
-        for m, level in enumerate(rows):
+        for x, rx, tx in zip(xs, r_win, t_win):
+            if x not in rows[0]:  # rows are deterministic: write-once suffices
+                rows[0].setdefault(x, _row((tx, *(_weight(c, x, rx, convention)
+                                                  for c in range(1, k + 1)))))
+        for m in range(1, k + 1):
+            below, level = rows[m - 1], rows[m]
             for x in range(i, i + k - m + 1):
-                if x not in level:  # rows are deterministic: write-once suffices
-                    level.setdefault(x, level_zero(x) if m == 0 else
-                                     _eliminated(rows[m - 1][x], rows[m - 1][x + 1]))
+                if x not in level:
+                    level.setdefault(x, _eliminated(below[x], below[x + 1]))
         d, n = rows[k][i]
         return n[0] if d is None else Fraction(n[0], d)
 

@@ -180,6 +180,17 @@ class TestTable:
         code, again, err = run_cli(capsys, *table, "--input", str(path))
         assert (code, err) == (0, "")
         assert [line.split("\t")[1] for line in again.splitlines()] == column
+        # A transformed column with undefined cells reads back too.
+        ealg = ["table", "--method", "ealg", "--kind", "v", "--order", "3",
+                "--generator", "plain-lambda", "--terms", "10", "--digits", "8"]
+        code, out, _ = run_cli(capsys, *ealg)
+        column = [line.split("\t")[2] for line in out.splitlines()]
+        assert code == 0 and "undefined(div-by-zero)" in column and "2.0000000" in column
+        path.write_text("\n".join(column) + "\n")
+        code, again, err = run_cli(capsys, "table", "--order", "0", "--terms", "10",
+                                   "--digits", "8", "--input", str(path))
+        assert (code, err) == (0, "")
+        assert [line.split("\t")[1:] for line in again.splitlines()] == [[c, c] for c in column]
 
     def test_exponent_out_of_range_exits_1(self, capsys, tmp_path):
         path = tmp_path / "seq.txt"

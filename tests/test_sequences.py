@@ -18,6 +18,7 @@ from seqaccel import (
     leibniz_pi4_terms,
     load_sequence,
     open_source,
+    parse_scalar,
     partial_sums,
     plain_lambda_terms_stream,
     take,
@@ -207,9 +208,20 @@ class TestLoadSequence:
 
     def test_parse_error_names_line(self, tmp_path):
         path = tmp_path / "seq.txt"
-        path.write_text("1\n2\nabc\n")
-        with pytest.raises(SequenceParseError, match="line 3"):
-            load_sequence(path)
+        for token in ("abc", "undefined(nope)", "undefined()", "Undefined(div-by-zero)",
+                      "undefined(div-by-zero) 1"):
+            path.write_text(f"1\n2\n{token}\n")
+            with pytest.raises(SequenceParseError, match="line 3"):
+                load_sequence(path)
+
+    def test_undefined_cells_read_back(self, tmp_path):
+        # The form render_decimal prints an undefined cell in, for every cause.
+        path = tmp_path / "seq.txt"
+        path.write_text("1\n" + "".join(f"undefined({r.value})  # printed\n"
+                                       for r in UndefinedReason))
+        assert load_sequence(path).to_list() == [1, *map(Undefined, UndefinedReason)]
+        with pytest.raises(ValueError):  # a file line, not a scalar literal
+            parse_scalar("undefined(div-by-zero)")
 
     def test_zero_denominator_is_parse_error(self, tmp_path):
         path = tmp_path / "seq.txt"

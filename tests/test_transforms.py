@@ -360,6 +360,20 @@ def _count_paths(monkeypatch) -> Counter:
     return served
 
 
+class _CountedReads(NumStream):
+    """A view of a stream that counts every `at` call by index."""
+
+    __slots__ = ("reads",)
+
+    def __init__(self, stream: NumStream):
+        super().__init__(stream.at, stream.length)
+        self.reads = Counter()
+
+    def at(self, i: int):
+        self.reads[i] += 1
+        return super().at(i)
+
+
 def _exact_pivots_nonzero(i: int, r_win: list, conv: GConvention) -> bool:
     """Every pivot Δg(m-1, m) of cell i's table, eliminated in Fractions, is nonzero."""
     xs = range(i, i + len(r_win))
@@ -433,29 +447,13 @@ class TestClosedForm:
             num, den = num + w * values[j], den + w
         assert cell == num / den
 
-    def test_small_prime_sends_cells_to_the_table(self, monkeypatch):
-        # Mod 3 many residues of nonzero pivots vanish; the table then
-        # computes those cells, and every cell still equals the oracle.
-        monkeypatch.setattr(transforms, "_PRIME", 3)
-        served = _count_paths(monkeypatch)
-        rng = random.Random(33)
-        for _ in range(40):
-            k = rng.randint(1, 8)
-            values = nondegenerate_stream_values(rng, rng.randint(k + 3, k + 6))
-            kind, conv, j = rng.choice(KINDS), rng.choice(CONVENTIONS), rng.randint(1, k + 2)
-            s = from_values(values)
-            want = oracles.ealg_list(kind_code(kind), k, values, conv.value)
-            assert stream_cells(e_algorithm(kind, k, s, conv), len(want)) == want
-            want = oracles.galg_list(kind_code(kind), k, j, values, conv.value)
-            assert stream_cells(g_algorithm(kind, k, j, s, conv), len(want)) == want
-        assert served["closed"] > 0 and served["table"] > 0, served
-
     def test_check_passes_exactly_where_no_pivot_vanishes(self):
-        # R windows from a small span: about half of them make a pivot zero.
+        # R windows from a small span at orders 1-12 and cells up to 40:
+        # about two in three make a pivot zero.
         rng = random.Random(4000)
         outcomes = Counter()
         for _ in range(4000):
-            k, i = rng.randint(1, 6), rng.randint(0, 4)
+            k, i = rng.randint(1, 12), rng.randint(0, 40)
             span = rng.choice([1, 2, 3])
             r_win = [F(rng.choice([-1, 1]) * rng.randint(1, span), rng.randint(1, span))
                      for _ in range(k + 1)]
@@ -465,6 +463,41 @@ class TestClosedForm:
             assert passed == _exact_pivots_nonzero(i, r_win, conv), (i, r_win, conv)
             outcomes[passed] += 1
         assert outcomes[False] > 1000 and outcomes[True] > 1000, outcomes
+
+    def test_table_cell_reads_its_window_once(self, monkeypatch):
+        # A cell that takes the table builds its level-0 rows from the window
+        # it already read: one `at` per cell of R and of s, and for
+        # `g_algorithm` one g(0, j) per cell. R comes from a copy of the
+        # input, so the counts hold only the table's own reads.
+        served = _count_paths(monkeypatch)
+        tops = Counter()
+        weight = transforms._weight
+
+        def counted_weight(c, x, *rest):
+            tops[c, x] += 1
+            return weight(c, x, *rest)
+
+        monkeypatch.setattr(transforms, "_weight", counted_weight)
+        base = [F(1, x * x + 3) for x in range(12)]
+        zero_r = base[:2] + base[1:11]
+        undefined = base[:1] + [DZ] + base[2:]
+        zero_pivot = [F(x) for x in range(12)]  # kind t: R is constant
+        cases = [(v, kind) for v in (zero_r, undefined) for kind in KINDS]
+        for values, kind in cases + [(zero_pivot, Kind.T)]:
+            for conv, k in [(conv, k) for conv in CONVENTIONS for k in (1, 3, 8)]:
+                window = {x: 1 for x in range(k + 1)}
+                s = _CountedReads(from_values(values))
+                r = _CountedReads(remainder_estimate(kind, from_values(values)))
+                tops.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(transforms, "remainder_estimate", lambda *_: r)
+                    e_algorithm(kind, k, s, conv).at(0)
+                    assert (s.reads, r.reads) == (window, window), (values, kind, conv, k)
+                    r.reads.clear()
+                    g_algorithm(kind, k, k + 1, s, conv).at(0)
+                assert r.reads == window and Counter(
+                    {x: n for (c, x), n in tops.items() if c == k + 1}) == window
+        assert served == {"table": 2 * 7 * 2 * 3}, served
 
 
 class TestSharedTable:
