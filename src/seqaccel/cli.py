@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .estimators import (AtIndex, EvaluationMode, InsufficientTermsError, TakeLast,
                          _require_terms, accelerate_sequence, growth_coefficient, sum_series)
@@ -88,8 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
         source = p.add_mutually_exclusive_group(required=True)
         source.add_argument("--generator", metavar="NAME",
                             help="builtin sequence: " + ", ".join(sorted(BUILTIN_SEQUENCES)))
-        source.add_argument("--input", metavar="PATH", type=Path,
-                            help="sequence file, one value per line")
+        source.add_argument("--input", metavar="PATH", help="sequence file, one value per line")
         if pipeline is not None:
             p.add_argument("--mode", type=_parse_mode, default=TakeLast(),
                            help="take-last (default) or at-index:<i>")

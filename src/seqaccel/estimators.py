@@ -20,8 +20,8 @@ transformed stream empty.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from collections import namedtuple
+from collections.abc import Callable
 
 from .scalars import (
     Element,
@@ -49,36 +49,40 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TakeLast:
+class TakeLast(namedtuple("TakeLast", ())):
     """Truncate to the first n terms, transform, read the last defined cell."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class AtIndex:
+    def __bool__(self):
+        return True  # an empty tuple is falsy; a mode is not
+
+
+class AtIndex(namedtuple("AtIndex", "index")):
     """Transform the untruncated source and read one output cell.
 
     The term count (`n_terms`, the CLI's ``--terms``) applies only to
     `TakeLast`; in this mode it is ignored.
     """
 
-    index: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.index < 0:
-            raise ValueError(f"output index must be >= 0, got {self.index}")
+    def __new__(cls, index: int):
+        if index < 0:
+            raise ValueError(f"output index must be >= 0, got {index}")
+        return super().__new__(cls, index)
 
 
-EvaluationMode = Union[TakeLast, AtIndex]
+EvaluationMode = TakeLast | AtIndex
 
 
 class InsufficientTermsError(ValueError):
     """The source cannot supply the requested number of terms."""
 
 
-@dataclass(frozen=True)
-class AccelerationReport:
-    """Outcome of one accelerated run.
+class AccelerationReport(namedtuple("AccelerationReport",
+                                    "terms_used estimate rendered digits_stable")):
+    """Outcome of one accelerated run: the exact `estimate` and its `rendered` text.
 
     `terms_used` counts the source elements actually forced (measured, not
     assumed) by the estimate. `digits_stable` counts how many leading
@@ -89,11 +93,7 @@ class AccelerationReport:
     cell is undefined or does not exist.
     """
 
-    transform: TransformSpec
-    terms_used: int
-    estimate: Element
-    rendered: str
-    digits_stable: int
+    __slots__ = ()
 
 
 def ratio_stream(s: NumStream) -> NumStream:
@@ -145,7 +145,7 @@ def _report(
     transform: TransformSpec,
     source: NumStream,
     prepare: Callable[[NumStream], NumStream],
-    n_terms: Optional[int],
+    n_terms: int | None,
     mode: EvaluationMode,
     digits: int,
     min_terms: int,
@@ -184,19 +184,14 @@ def _report(
     else:
         previous = Undefined(UndefinedReason.OUT_OF_RANGE)
 
-    return AccelerationReport(
-        transform=transform,
-        terms_used=terms_used,
-        estimate=estimate,
-        rendered=render_decimal(estimate, digits),
-        digits_stable=_stable_digits(estimate, previous, digits),
-    )
+    return AccelerationReport(terms_used, estimate, render_decimal(estimate, digits),
+                              _stable_digits(estimate, previous, digits))
 
 
 def growth_coefficient(
     transform: TransformSpec,
     source: NumStream,
-    n_terms: Optional[int] = None,
+    n_terms: int | None = None,
     *,
     digits: int = 10,
     mode: EvaluationMode = TakeLast(),
@@ -212,7 +207,7 @@ def growth_coefficient(
 def sum_series(
     transform: TransformSpec,
     terms: NumStream,
-    n_terms: Optional[int] = None,
+    n_terms: int | None = None,
     *,
     digits: int = 10,
     mode: EvaluationMode = TakeLast(),
@@ -224,7 +219,7 @@ def sum_series(
 def accelerate_sequence(
     transform: TransformSpec,
     source: NumStream,
-    n_terms: Optional[int] = None,
+    n_terms: int | None = None,
     *,
     digits: int = 10,
     mode: EvaluationMode = TakeLast(),

@@ -13,10 +13,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Union
 
 Scalar = Fraction
 
@@ -47,21 +45,34 @@ class UndefinedReason(Enum):
     PROPAGATED_FROM_INPUT = "propagated-from-input"
 
 
-@dataclass(frozen=True)
 class Undefined:
     """Marker for a cell with no rational value.
 
     `reason` says why this particular cell is undefined; `cause` is the
     earliest root cause, preserved unchanged through propagation (first
-    cause wins when several operands are undefined).
+    cause wins when several operands are undefined). Both are read-only.
     """
 
-    reason: UndefinedReason
-    cause: Optional[UndefinedReason] = None
+    __slots__ = ("reason", "cause")
 
-    def __post_init__(self):
-        if self.cause is None:
-            object.__setattr__(self, "cause", self.reason)
+    def __init__(self, reason: UndefinedReason, cause: UndefinedReason | None = None):
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "cause", reason if cause is None else cause)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"field {name!r} is read-only")
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.reason, self.cause) == (other.reason, other.cause)
+
+    def __hash__(self):
+        return hash((self.reason, self.cause))
+
+    def __reduce__(self):  # copy and pickle through __init__, as __setattr__ refuses
+        return self.__class__, (self.reason, self.cause)
 
     def __repr__(self):
         if self.reason is self.cause:
@@ -69,7 +80,7 @@ class Undefined:
         return f"Undefined({self.reason.value}, cause={self.cause.value})"
 
 
-Element = Union[Scalar, Undefined]
+Element = Scalar | Undefined
 
 
 def is_defined(e: Element) -> bool:
@@ -97,7 +108,7 @@ def propagated(u: Undefined) -> Undefined:
     return Undefined(UndefinedReason.PROPAGATED_FROM_INPUT, u.cause)
 
 
-def first_undefined(*elements: Element) -> Optional[Undefined]:
+def first_undefined(*elements: Element) -> Undefined | None:
     """The first undefined operand in argument order, if any."""
     for e in elements:
         if isinstance(e, Undefined):

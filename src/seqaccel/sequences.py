@@ -18,9 +18,8 @@ comments and blank lines ignored.
 from __future__ import annotations
 
 import threading
+from collections.abc import Callable
 from fractions import Fraction
-from pathlib import Path
-from typing import Callable
 
 from .scalars import Undefined, UndefinedReason, parse_scalar
 from .streams import NumStream, from_function, from_values
@@ -141,10 +140,10 @@ def open_source(name: str) -> NumStream:
 
 
 class SequenceParseError(ValueError):
-    """A sequence file did not match the one-value-per-line grammar."""
+    """A sequence file did not match the one-value-per-line grammar; `path` is as passed."""
 
     def __init__(self, path, line_no: int, token: str, detail: str):
-        self.path = Path(path)
+        self.path = path
         self.line_no = line_no
         self.token = token
         super().__init__(f"{path}: line {line_no}: {detail}")
@@ -154,7 +153,7 @@ _UNDEFINED = {f"undefined({reason.value})": Undefined(reason) for reason in Unde
 
 
 def load_sequence(path) -> NumStream:
-    """Parse a sequence file into a finite stream, in file order.
+    """Parse the file at `path` (str or os.PathLike) into a finite stream, in file order.
 
     Grammar per non-blank line: optional sign, digits, then optionally
     "/digits", or ".digits" and an exponent "e[+-]digits" (`parse_scalar`);
@@ -162,9 +161,8 @@ def load_sequence(path) -> NumStream:
     as `Undefined(<cause>)`, the form `render_decimal` prints an undefined
     cell in. Text after "#" is a comment. An empty file is an empty stream.
     """
-    path = Path(path)
     values = []
-    with path.open("r", encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             token = raw.split("#", 1)[0].strip()
             if not token:

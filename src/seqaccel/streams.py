@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import bisect
 import threading
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterable, Optional
 
 from .scalars import (
     Element,
@@ -50,7 +50,7 @@ class NumStream:
 
     __slots__ = ("_compute", "_cache", "_length")
 
-    def __init__(self, compute: Callable[[int], Element], length: Optional[int] = None):
+    def __init__(self, compute: Callable[[int], Element], length: int | None = None):
         if length is not None and length < 0:
             raise ValueError(f"stream length must be >= 0, got {length}")
         self._compute = compute
@@ -58,7 +58,7 @@ class NumStream:
         self._length = length
 
     @property
-    def length(self) -> Optional[int]:
+    def length(self) -> int | None:
         """Finite length, or None for an infinite stream."""
         return self._length
 
@@ -97,7 +97,7 @@ def from_values(values: Iterable) -> NumStream:
     return NumStream(cells.__getitem__, length=len(cells))
 
 
-def from_function(fn: Callable[[int], Element], length: Optional[int] = None) -> NumStream:
+def from_function(fn: Callable[[int], Element], length: int | None = None) -> NumStream:
     return NumStream(fn, length)
 
 
@@ -116,7 +116,7 @@ def take(s: NumStream, n: int) -> NumStream:
     return NumStream(s.at, length)
 
 
-def _min_extent(a: Optional[int], b: Optional[int]) -> Optional[int]:
+def _min_extent(a: int | None, b: int | None) -> int | None:
     if a is None:
         return b
     if b is None:

@@ -43,7 +43,7 @@ causes, and read the same window, once.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from math import comb, gcd, lcm
@@ -91,18 +91,16 @@ class Method(Enum):
     LEVIN = "levin"
 
 
-@dataclass(frozen=True)
-class TransformSpec:
+class TransformSpec(namedtuple("TransformSpec", "method kind order g_convention")):
     """A complete accelerator recipe; `apply` builds the output stream."""
 
-    method: Method
-    kind: Kind
-    order: int
-    g_convention: GConvention = GConvention.TEXT
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.order < 0:
-            raise ValueError(f"order must be >= 0, got {self.order}")
+    def __new__(cls, method: Method, kind: Kind, order: int,
+                g_convention: GConvention = GConvention.TEXT):
+        if order < 0:
+            raise ValueError(f"order must be >= 0, got {order}")
+        return super().__new__(cls, method, kind, order, g_convention)
 
     def apply(self, s: NumStream) -> NumStream:
         if self.method is Method.LEVIN:

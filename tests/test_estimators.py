@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from seqaccel import (
+    AccelerationReport,
     AtIndex,
     GConvention,
     InsufficientTermsError,
@@ -391,3 +392,52 @@ class TestReports:
         report = sum_series(LEVIN_U2, leibniz_pi4_terms(), 20)
         raw = partial_sums(take(leibniz_pi4_terms(), 20)).at(19)
         assert abs(report.estimate - reference) < abs(raw - reference)
+
+
+# The five records: a factory, the repr pinned in the format `dataclasses`
+# prints, a field, unequal values, and an invalid call with its message.
+RECORDS = {
+    "Undefined": (
+        lambda: Undefined(UndefinedReason.PROPAGATED_FROM_INPUT, UndefinedReason.DIV_BY_ZERO),
+        "Undefined(propagated-from-input, cause=div-by-zero)", "cause",
+        [Undefined(UndefinedReason.PROPAGATED_FROM_INPUT),
+         (UndefinedReason.PROPAGATED_FROM_INPUT, UndefinedReason.DIV_BY_ZERO),
+         UndefinedReason.DIV_BY_ZERO, F(0), None],
+        None),
+    "TakeLast": (TakeLast, "TakeLast()", "index", [AtIndex(0)], None),
+    "AtIndex": (
+        lambda: AtIndex(0), "AtIndex(index=0)", "index", [AtIndex(1), TakeLast()],
+        (lambda: AtIndex(-1), "output index must be >= 0, got -1")),
+    "TransformSpec": (
+        lambda: TransformSpec(Method.EALG, Kind.V, 4, GConvention.CODE),
+        "TransformSpec(method=<Method.EALG: 'ealg'>, kind=<Kind.V: 'v'>, order=4, "
+        "g_convention=<GConvention.CODE: 'code'>)", "order",
+        [TransformSpec(Method.EALG, Kind.V, 4), TransformSpec(Method.LEVIN, Kind.V, 4)],
+        (lambda: TransformSpec(Method.LEVIN, Kind.U, -1), "order must be >= 0, got -1")),
+    "AccelerationReport": (
+        lambda: growth_coefficient(LEVIN_U2, catalan_stream(), 800),
+        "AccelerationReport(terms_used=800, estimate=Fraction(1012521554, 253130387), "
+        "rendered='4.000000024', digits_stable=10)", "estimate",
+        [AccelerationReport(800, F(4), "4.000000024", 10)],
+        None),
+}
+
+
+@pytest.mark.parametrize("name", list(RECORDS))
+def test_record_contract(name):
+    make, text, field, unequal, invalid = RECORDS[name]
+    a, b = make(), make()
+    assert repr(a) == text
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert a  # truthy, even the field-less TakeLast() and AtIndex(0)
+    for other in unequal:
+        assert a != other and not a == other and not other == a
+    for attr in (field, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(a, attr, 1)
+    assert repr(a) == text
+    if invalid:
+        call, message = invalid
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message

@@ -1,4 +1,3 @@
-import os
 import random
 import subprocess
 import sys
@@ -697,10 +696,16 @@ class TestLevinAgainstMpmath:
             self.assert_agree(mp, ours.at(i), value + s[i])
 
     def test_runtime_does_not_import_mpmath(self):
-        code = "import sys, seqaccel.cli; print('mpmath' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": str(SRC)}, check=True)
-        assert out.stdout == "False\n"
+        # Under -I -S no site hook imports anything on the library's behalf,
+        # so the child's modules are the ones the CLI itself loads.
+        unused = ["dataclasses", "inspect", "mpmath", "pathlib", "typing"]
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import seqaccel.cli\n"
+                "status = seqaccel.cli.main(['growth-coeff', '--generator', 'catalan',"
+                " '--terms', '800'])\n"
+                f"print(status, [m for m in {unused!r} if m in sys.modules])")
+        out = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(SRC)],
+                             capture_output=True, text=True, check=True)
+        assert out.stdout == "4.000000024\nstable-digits: 10\n0 []\n"
 
 
 class TestLevinOrder2Form:
