@@ -3,20 +3,15 @@
 Computes limits of slowly convergent sequences - and anti-limits of
 divergent series - with the E-algorithm and Levin transforms, built on
 lazy memoizing streams of arbitrary-precision rational numbers. See
-README.md for the worked examples and the CLI.
+README.md for the worked examples and the CLI. The names imported here
+are the public API.
 """
 from .scalars import (
-    Element,
-    Scalar,
     Undefined,
     UndefinedReason,
-    add,
-    div,
     is_defined,
-    mul,
     parse_scalar,
     render_decimal,
-    sub,
 )
 from .streams import (
     NumStream,
@@ -43,7 +38,6 @@ from .transforms import (
 from .sequences import (
     BUILTIN_SEQUENCES,
     SequenceParseError,
-    UnknownSequenceError,
     alternating_naturals_terms,
     catalan_stream,
     grandi_terms,
@@ -55,7 +49,6 @@ from .sequences import (
 from .estimators import (
     AccelerationReport,
     AtIndex,
-    EvaluationMode,
     InsufficientTermsError,
     TakeLast,
     accelerate_sequence,

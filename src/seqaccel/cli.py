@@ -26,8 +26,6 @@ from .sequences import (BUILTIN_SEQUENCES, SequenceParseError, UnknownSequenceEr
 from .streams import take
 from .transforms import GConvention, Kind, Method, TransformSpec
 
-__all__ = ["COMMANDS", "main", "run", "build_parser"]
-
 # name -> (help, pipeline); `table` has neither pipeline nor --mode: it prints --terms rows.
 COMMANDS = {
     "growth-coeff": ("estimate s[n+1]/s[n] limit", growth_coefficient),

@@ -36,18 +36,6 @@ from .scalars import (
 from .streams import NumStream, last_defined, partial_sums, take
 from .transforms import TransformSpec
 
-__all__ = [
-    "TakeLast",
-    "AtIndex",
-    "EvaluationMode",
-    "AccelerationReport",
-    "InsufficientTermsError",
-    "ratio_stream",
-    "growth_coefficient",
-    "sum_series",
-    "accelerate_sequence",
-]
-
 
 class TakeLast(namedtuple("TakeLast", ())):
     """Truncate to the first n terms, transform, read the last defined cell."""
@@ -130,8 +118,10 @@ def _stable_digits(current: Element, previous: Element, up_to: int) -> int:
     """
     if not (is_defined(current) and is_defined(previous)):
         return 0
+    if current == previous:
+        return up_to
     if current == 0 or previous == 0:
-        return up_to if current == previous else 0
+        return 0
     e_cur, e_prev = _ilog10(current), _ilog10(previous)
     agreed = 0
     for d in range(1, up_to + 1):

@@ -1,8 +1,8 @@
 """Exact rational scalars with explicit undefined-value propagation.
 
 Every value in this library is an arbitrary-precision rational
-(`fractions.Fraction`, re-exported as `Scalar`), so pipelines are
-bit-reproducible and results can be compared with exact equality.
+(`fractions.Fraction`), so pipelines are bit-reproducible and results
+can be compared with exact equality.
 Operations that have no rational result (division by zero, reading past
 the end of a finite stream) do not raise: they produce an `Undefined`
 marker that records why, and any arithmetic touching an `Undefined`
@@ -15,25 +15,6 @@ import math
 import re
 from enum import Enum
 from fractions import Fraction
-
-Scalar = Fraction
-
-__all__ = [
-    "Scalar",
-    "UndefinedReason",
-    "Undefined",
-    "Element",
-    "is_defined",
-    "as_element",
-    "propagated",
-    "first_undefined",
-    "add",
-    "sub",
-    "mul",
-    "div",
-    "render_decimal",
-    "parse_scalar",
-]
 
 
 class UndefinedReason(Enum):
@@ -80,7 +61,7 @@ class Undefined:
         return f"Undefined({self.reason.value}, cause={self.cause.value})"
 
 
-Element = Scalar | Undefined
+Element = Fraction | Undefined
 
 
 def is_defined(e: Element) -> bool:
@@ -159,7 +140,18 @@ def _digits_to_int(digits: str) -> int:
     return value
 
 
-def parse_scalar(text: str) -> Scalar:
+def _int_to_digits(value: int) -> str:
+    """str(value) for a nonnegative int of any length, converted in chunks."""
+    if value.bit_length() <= 3 * _CHUNK:  # fewer than _CHUNK digits
+        return str(value)
+    base, chunks = 10 ** _CHUNK, []
+    while value >= base:
+        value, low = divmod(value, base)
+        chunks.append(f"{low:0{_CHUNK}d}")
+    return str(value) + "".join(reversed(chunks))
+
+
+def parse_scalar(text: str) -> Fraction:
     """Parse an integer, rational "p/q" or decimal literal exactly.
 
     A decimal may carry an exponent, as `render_decimal` writes it:
@@ -248,7 +240,7 @@ def render_decimal(value: Element, sig_digits: int) -> str:
         return "0" if sig_digits == 1 else "0." + "0" * (sig_digits - 1)
 
     sign, m, e = _round_significant(value, sig_digits, _ilog10(value))
-    digits = str(m)
+    digits = _int_to_digits(m)
 
     if 0 <= e < sig_digits:
         int_part, frac_part = digits[: e + 1], digits[e + 1 :]

@@ -24,19 +24,6 @@ from fractions import Fraction
 from .scalars import Undefined, UndefinedReason, parse_scalar
 from .streams import NumStream, from_function, from_values
 
-__all__ = [
-    "catalan_stream",
-    "plain_lambda_terms_stream",
-    "grandi_terms",
-    "alternating_naturals_terms",
-    "leibniz_pi4_terms",
-    "BUILTIN_SEQUENCES",
-    "open_source",
-    "UnknownSequenceError",
-    "SequenceParseError",
-    "load_sequence",
-]
-
 
 def _recurrence_stream(seed: list[int], extend: Callable[[list[int]], int]) -> NumStream:
     """Infinite stream from an integer recurrence with internal memo."""

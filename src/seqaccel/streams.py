@@ -32,18 +32,6 @@ from .scalars import (
     sub,
 )
 
-__all__ = [
-    "NumStream",
-    "from_values",
-    "from_function",
-    "iota",
-    "take",
-    "zip_with",
-    "forward_difference",
-    "partial_sums",
-    "last_defined",
-]
-
 
 class NumStream:
     """On-demand sequence of Elements with a write-once cell cache."""

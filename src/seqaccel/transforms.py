@@ -60,18 +60,6 @@ from .scalars import (
 )
 from .streams import NumStream, forward_difference
 
-__all__ = [
-    "Kind",
-    "GConvention",
-    "Method",
-    "TransformSpec",
-    "remainder_estimate",
-    "g_algorithm",
-    "e_algorithm",
-    "aitken",
-    "levin",
-]
-
 
 class Kind(Enum):
     """Remainder model: R = Δs (T), R = n·Δs (U), R = Δs'·Δs/Δ²s (V)."""

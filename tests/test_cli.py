@@ -1,10 +1,12 @@
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
+import seqaccel
 from seqaccel import (
     BUILTIN_SEQUENCES,
     Kind,
@@ -59,6 +61,12 @@ class TestGrowthCoeff:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_digits_past_the_int_str_limit(self, capsys):
+        code, out, err = run_cli(capsys, "growth-coeff", "--generator", "catalan",
+                                 "--terms", "800", "--digits", "4301")
+        assert (code, err) == (0, "")
+        assert out.startswith("4.0000000237031992528024697406242262016531")
+        assert len(out.splitlines()[0]) == 4302
 
     def test_levin_order_three_matches_in_process(self, capsys):
         code, out, _ = run_cli(
@@ -243,6 +251,18 @@ class TestUsageErrors:
         )
         assert code == 1
 
+    def test_explicit_take_last_matches_default(self, capsys):
+        explicit = run_cli(capsys, *README_CATALAN, "--mode", "take-last")
+        assert explicit == run_cli(capsys, *README_CATALAN)
+        assert explicit == (0, "4.000000024\nstable-digits: 10\n", "")
+
+    @pytest.mark.parametrize("mode", ["at-index:-1", "at-index:", "at-index:x"])
+    def test_malformed_at_index(self, capsys, mode):
+        code, out, err = run_cli(capsys, "growth-coeff", "--generator", "catalan",
+                                 "--terms", "10", "--mode", mode)
+        assert (code, out) == (1, "")
+        assert f"bad mode '{mode}': expected take-last or at-index:<i>" in err
+
     def test_unreadable_file(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys,
@@ -351,3 +371,25 @@ class TestGConventionFlag:
         )
         assert code == 0
         assert out.splitlines()[0] == expected_first
+
+
+# What the README, tests and benchmark import from `seqaccel`; nothing more.
+PUBLIC_API = {
+    "Undefined", "UndefinedReason", "is_defined", "parse_scalar", "render_decimal",
+    "NumStream", "forward_difference", "from_function", "from_values", "iota",
+    "last_defined", "partial_sums", "take", "zip_with",
+    "GConvention", "Kind", "Method", "TransformSpec", "aitken", "e_algorithm",
+    "g_algorithm", "levin", "remainder_estimate",
+    "BUILTIN_SEQUENCES", "SequenceParseError", "alternating_naturals_terms",
+    "catalan_stream", "grandi_terms", "leibniz_pi4_terms", "load_sequence",
+    "open_source", "plain_lambda_terms_stream",
+    "AccelerationReport", "AtIndex", "InsufficientTermsError", "TakeLast",
+    "accelerate_sequence", "growth_coefficient", "ratio_stream", "sum_series",
+}
+
+
+def test_package_init_is_the_one_export_list():
+    public = {name for name, value in vars(seqaccel).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == PUBLIC_API and len(PUBLIC_API) == 40
+    assert [p.name for p in (SRC / "seqaccel").glob("*.py") if "__all__" in p.read_text()] == []

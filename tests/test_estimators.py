@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -387,6 +389,14 @@ class TestReports:
         assert counts["scientific"] > 100 and counts["positional"] > 100
         assert all(counts[k] > 0 for k in range(0, 13))
 
+    def test_equal_values_are_stable_without_rounding(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("seqaccel.estimators._round_significant",
+                            lambda *args: calls.append(args))
+        for x in (F(1, 3), F(-7, 2) * F(10) ** 40, F(4), F(0)):
+            assert _stable_digits(x, F(x), 16_000) == 16_000
+        assert calls == []
+
     def test_pi_quarter_benchmark_beats_raw_sums(self):
         reference = oracles.pi_quarter_reference()
         report = sum_series(LEVIN_U2, leibniz_pi4_terms(), 20)
@@ -436,6 +446,10 @@ def test_record_contract(name):
         with pytest.raises(AttributeError):
             setattr(a, attr, 1)
     assert repr(a) == text
+    if name == "Undefined":  # __setattr__ refuses, so these go through __reduce__
+        for u in (Undefined(UndefinedReason.DIV_BY_ZERO), a):
+            for twin in (copy.deepcopy(u), pickle.loads(pickle.dumps(u))):
+                assert twin == u and twin is not u and repr(twin) == repr(u)
     if invalid:
         call, message = invalid
         with pytest.raises(ValueError) as exc:

@@ -160,6 +160,19 @@ class TestRenderDecimal:
             digits = (1, 7, 40)[n % 3]
             assert parse_scalar(render_decimal(x, digits)) == _rounded(x, digits)
 
+    def test_mantissas_past_the_digit_limit_read_back(self):
+        rng = random.Random(4301)
+        notations = set()
+        for digits in (4301, 6000, 8000, 9000):
+            x = F(rng.randrange(10 ** 20), rng.randrange(1, 10 ** 9)) + 1
+            for scale in (0, -3, -9, digits + 7):
+                value = x * F(10) ** scale
+                text = render_decimal(value, digits)
+                notations.add("e" in text)
+                assert len(text.split("e")[0].replace(".", "").lstrip("0")) == digits
+                assert parse_scalar(text) == _rounded(value, digits)
+        assert notations == {False, True}
+
 
 def _rounded(x: Fraction, digits: int) -> Fraction:
     """x to `digits` significant digits, ties to even: the decimal module's
