@@ -114,9 +114,14 @@ def _run(args, out) -> int:
     return 0 if is_defined(report.estimate) else 2
 
 
+_parser = None  # built on the first call of `main`, then reused: parsing leaves no state in it
+
+
 def main(argv=None) -> int:
+    global _parser
     try:
-        return _run(build_parser().parse_args(argv), sys.stdout)
+        _parser = _parser or build_parser()
+        return _run(_parser.parse_args(argv), sys.stdout)
     except SystemExit as exc:  # the parser's own exit: --help, or a usage error
         return exc.code if isinstance(exc.code, int) else 1
     except (argparse.ArgumentError, UnknownSequenceError, SequenceParseError,

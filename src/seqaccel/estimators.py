@@ -27,8 +27,8 @@ from .scalars import (
     Element,
     Undefined,
     UndefinedReason,
-    _ilog10,
-    _round_significant,
+    _expansion,
+    _rounds_up,
     div,
     is_defined,
     render_decimal,
@@ -112,23 +112,29 @@ def _require_terms(source: NumStream, n_terms: int) -> None:
 def _stable_digits(current: Element, previous: Element, up_to: int) -> int:
     """Leading significant digits on which the two renderings agree.
 
-    A rendering at d digits is fixed by the rounded (sign, mantissa,
-    exponent), so the renderings agree exactly when those tuples do; each
-    value's exponent is found once for all d.
+    Each magnitude is expanded once to up_to + 1 digits. With a <= b, the
+    renderings at d digits agree where b's first d digits less a's equal
+    a's round-up less b's at one exponent (0.1949 and 0.1951 agree at 3,
+    not 2), or where a's 9...9 rolls over to b's 10...0, one exponent up.
     """
     if not (is_defined(current) and is_defined(previous)):
         return 0
     if current == previous:
         return up_to
-    if current == 0 or previous == 0:
+    if current == 0 or previous == 0 or (current < 0) != (previous < 0):
         return 0
-    e_cur, e_prev = _ilog10(current), _ilog10(previous)
-    agreed = 0
+    (ea, a, a_end), (eb, b, b_end) = sorted(_expansion(v, up_to) for v in (current, previous))
+    nines, unit = len(a) - len(a.lstrip("9")), b[0] == "1" and len(b) - len(b[1:].lstrip("0"))
+    diff = 0
     for d in range(1, up_to + 1):
-        if _round_significant(current, d, e_cur) != _round_significant(previous, d, e_prev):
-            break
-        agreed = d
-    return agreed
+        up = _rounds_up(a, a_end, d) - _rounds_up(b, b_end, d)
+        if ea == eb:
+            diff = 10 * diff + ord(b[d - 1]) - ord(a[d - 1])
+        else:
+            diff = 1 if eb == ea + 1 and min(nines, unit) >= d else 2
+        if diff != up:
+            return d - 1
+    return up_to
 
 
 def _report(

@@ -198,28 +198,19 @@ def _at_least_pow10(p: int, q: int, k: int) -> bool:
     return p >= q * 10 ** k if k >= 0 else p * 10 ** (-k) >= q
 
 
-def _round_half_even(num: int, den: int) -> int:
-    q, r = divmod(num, den)
-    if 2 * r > den or (2 * r == den and q % 2 == 1):
-        q += 1
-    return q
+def _expansion(value: Fraction, n: int) -> tuple[int, str, int]:
+    """floor(log10(|value|)), the first n + 1 significant digits of nonzero
+    `value`, and the end of their nonzero digits (past them where more follow)."""
+    e, p, q = _ilog10(value), abs(value.numerator), value.denominator
+    m, rest = divmod(p * 10 ** (n - e), q) if n >= e else divmod(p, q * 10 ** (e - n))
+    digits = _int_to_digits(m)
+    return e, digits, len(digits) + 1 if rest else len(digits.rstrip("0"))
 
 
-def _round_significant(value: Fraction, d: int, e: int) -> tuple[str, int, int]:
-    """Sign, d-digit mantissa and exponent of nonzero `value`, ties to even.
-
-    `e` must be floor(log10(|value|)), so one exponent serves every d.
-    """
-    p, q = abs(value.numerator), value.denominator
-    shift = d - 1 - e
-    if shift >= 0:
-        m = _round_half_even(p * 10 ** shift, q)
-    else:
-        m = _round_half_even(p, q * 10 ** (-shift))
-    if m == 10 ** d:  # rounding rolled over, e.g. 0.99996 -> 1.0000
-        m //= 10
-        e += 1
-    return "-" if value < 0 else "", m, e
+def _rounds_up(digits: str, end: int, d: int) -> bool:
+    """Whether rounding an `_expansion` to d digits, ties to even, adds one to the d-th."""
+    c = digits[d]
+    return c > "5" or c == "5" and (end > d + 1 or digits[d - 1] in "13579")
 
 
 def render_decimal(value: Element, sig_digits: int) -> str:
@@ -239,8 +230,12 @@ def render_decimal(value: Element, sig_digits: int) -> str:
     if value == 0:
         return "0" if sig_digits == 1 else "0." + "0" * (sig_digits - 1)
 
-    sign, m, e = _round_significant(value, sig_digits, _ilog10(value))
-    digits = _int_to_digits(m)
+    e, digits, end = _expansion(value, sig_digits)
+    up, digits = _rounds_up(digits, end, sig_digits), digits[:sig_digits]
+    if up:  # carry the one through the trailing 9s; 9...9 rolls over to 10...0
+        head = digits.rstrip("9")
+        digits = (head[:-1] + chr(ord(head[-1]) + 1) if head else "1").ljust(sig_digits, "0")
+        e += not head
 
     if 0 <= e < sig_digits:
         int_part, frac_part = digits[: e + 1], digits[e + 1 :]
@@ -250,4 +245,4 @@ def render_decimal(value: Element, sig_digits: int) -> str:
     else:
         mantissa = digits[0] + ("." + digits[1:] if sig_digits > 1 else "")
         body = f"{mantissa}e{e}"
-    return sign + body
+    return ("-" if value < 0 else "") + body

@@ -40,6 +40,12 @@ elimination whose pivot difference is zero, go cell by cell through the
 one elimination step above, which alone holds the rules for degenerate
 cells. Both routes give the same values, `Undefined` reasons and
 causes, and read the same window, once.
+
+A transform stream keeps the window of its last cell, one tuple replaced
+whole (threads see one or the other): s or the top column, and (Δs, R)
+from one Δs stream that feeds R and the kernel's Δt (g(0, j) differences
+its window). A cell reads only the cells that window lacks (one, along
+a stream), in a full read's order, so the input cells forced are too.
 """
 from __future__ import annotations
 
@@ -102,16 +108,32 @@ def remainder_estimate(kind: Kind, s: NumStream) -> NumStream:
     Kind u scales d[i] by i + 1, an offset other than the Levin weights'.
     """
     d = forward_difference(s)
-    if kind is Kind.T:
-        return d
-    if kind is Kind.U:
-        return NumStream(lambda i: mul(d.at(i), i + 1), d.length)
+    remainder = _remainders(kind, d)
+    return d if kind is Kind.T else NumStream(lambda x: remainder(x)[1], _extent(kind, s, 0))
 
-    def v(i: int) -> Element:
-        d1, d0 = d.at(i + 1), d.at(i)
-        return div(mul(d1, d0), sub(d1, d0))
 
-    return NumStream(v, None if d.length is None else max(d.length - 1, 0))
+def _remainders(kind: Kind, d: NumStream):
+    """The reader x -> (Δs[x], R[x]) over d = Δs; kind v reads d[x + 1] first."""
+    def cell(x: int) -> tuple[Element, Element]:
+        if kind is Kind.V:
+            d1, d0 = d.at(x + 1), d.at(x)
+            return d0, div(mul(d1, d0), sub(d1, d0))
+        d0 = d.at(x)
+        return d0, d0 if kind is Kind.T else mul(d0, x + 1)
+    return cell
+
+
+def _extent(kind: Kind, s: NumStream, k: int) -> int | None:
+    """Length of R (k = 0), or of an order-k transform, over s."""
+    return None if s.length is None else max(s.length - 1 - (kind is Kind.V) - k, 0)
+
+
+def _slide(at, lo: int, n: int, last_lo: int, last: tuple) -> tuple:
+    """Cells lo..lo+n-1 through `at`, taking those the window `last` at last_lo holds."""
+    if lo == last_lo + 1 and len(last) == n:  # the next cell along the stream
+        return last[1:] + (at(lo + n - 1),)
+    return tuple(last[x - last_lo] if 0 <= x - last_lo < len(last) else at(x)
+                 for x in range(lo, lo + n))
 
 
 def _weight(j: int, x: int, r: Element, convention: GConvention) -> Element:
@@ -206,38 +228,40 @@ def _pivots_nonzero(i: int, ws: list[int], text: bool) -> bool:
     return True
 
 
-def _closed_form(i: int, r_win: list, t_win: list, text: bool) -> Fraction | None:
+def _closed_form(i: int, r_win: tuple, t_win: tuple, text: bool, dt=None) -> Fraction | None:
     """Cell i of level k = len(r_win) - 1 by `_weighted_ratio`, or None.
 
     Text: w = 1/R, n0 = i + 1; code: w = R, no power of n; t is the top
-    column on R[i..i+k]'s window. None where a cell of the window is
-    undefined, R is 0, or a pivot is 0 (`_pivots_nonzero`): the table
-    computes those cells.
+    column on R[i..i+k]'s window, and dt its k differences (or None). None
+    where a cell of the window is undefined, R is 0, or a pivot is 0
+    (`_pivots_nonzero`): the table computes those cells.
     """
     if first_undefined(*r_win, *t_win) or not all(r_win):
         return None
     ws = _reciprocals(r_win) if text else _row(r_win)[1]
     if not _pivots_nonzero(i, ws, text):
         return None
-    return _weighted_ratio(ws, t_win, i + 1 if text else None)
+    dt = dt or [b - a for a, b in zip(t_win, t_win[1:])]
+    return _weighted_ratio(ws, t_win[0], dt, i + 1 if text else None)
 
 
-def _weighted_ratio(ws: list[int], t_win: list, n0: int | None) -> Element:
+def _weighted_ratio(ws: list[int], t0: Fraction, dt: tuple, n0: int | None) -> Element:
     """t[0] + Σⱼ Wⱼ·wⱼ·(t[j] - t[0]) / Σⱼ Wⱼ·wⱼ over j = 0..k = len(ws) - 1.
 
     Wⱼ = (-1)^(k-j) C(k, j), times (n0 + j)^(k-1) unless n0 is None: the
     ratio Δᵏ[n^(k-1)·w·t] / Δᵏ[n^(k-1)·w] at n = n0, or Δᵏ[w·t] / Δᵏ[w].
-    Integers throughout, the differences over one denominator (they stay
-    small where t[0] is a large rational), then one `Fraction` added to
-    t[0]; a zero denominator is undefined as in `div`.
+    t[j] - t[0] runs up the differences dt in integers over one denominator
+    (small where t[0] is a large rational), then one `Fraction` is added
+    to t[0]; a zero denominator is undefined as in `div`.
     """
     k = len(ws) - 1
     weighted = [(-1) ** (k - j) * comb(k, j) * w * (1 if n0 is None else (n0 + j) ** (k - 1))
                 for j, w in enumerate(ws)]
-    t0 = t_win[0]
-    diffs = [t - t0 for t in t_win[1:]]
-    e = lcm(*(c.denominator for c in diffs))
-    num = sum(w * c.numerator * (e // c.denominator) for w, c in zip(weighted[1:], diffs))
+    e = lcm(*(c.denominator for c in dt))
+    num = run = 0
+    for w, c in zip(weighted[1:], dt):
+        run += c.numerator * (e // c.denominator)  # (t[j] - t[0])·e
+        num += w * run
     den = e * sum(weighted)
     return t0 + Fraction(num, den) if den else div(num, den)
 
@@ -245,7 +269,7 @@ def _weighted_ratio(ws: list[int], t_win: list, n0: int | None) -> Element:
 def _table(kind: Kind, k: int, s: NumStream, convention: GConvention, j=None) -> NumStream:
     """Level k of the E-algorithm table; the top column is s, or g(0, j).
 
-    Output cell i reads R[i..i+k] and the top column there once, then
+    Output cell i reads R[i..i+k] and the top column there (its window), then
     takes its closed form (`_closed_form`) when all of its pivots are
     nonzero, and the table otherwise. The row at level m and index x
     holds cell x of the top column and of g(m, m+1), ..., g(m, k); its
@@ -257,20 +281,24 @@ def _table(kind: Kind, k: int, s: NumStream, convention: GConvention, j=None) ->
     an elimination costs one gcd per row; only rows with an undefined
     cell, and zero pivots, take `_eliminate`.
     """
-    r = remainder_estimate(kind, s)
+    remainder = _remainders(kind, forward_difference(s))
     text = convention is GConvention.TEXT
     rows: list[dict[int, tuple]] = [{} for _ in range(k + 1)]
+    last = (0, (), ())  # the window read last: i, then (Δs, R) and t at i..i+k
 
     def compute(i: int) -> Element:
-        xs = range(i, i + k + 1)
-        r_win = [r.at(x) for x in xs]
-        t_win = ([s.at(x) for x in xs] if j is None else
-                 [_weight(j, x, rx, convention) for x, rx in zip(xs, r_win)])
+        nonlocal last
+        i0, dr_last, t_last = last
+        dr = _slide(remainder, i, k + 1, i0, dr_last)
+        d_win, r_win = zip(*dr)
+        top = s.at if j is None else lambda x: _weight(j, x, r_win[x - i], convention)
+        t_win = _slide(top, i, k + 1, i0, t_last)
+        last = (i, dr, t_win)
         if k:
-            value = _closed_form(i, r_win, t_win, text)
+            value = _closed_form(i, r_win, t_win, text, None if j else d_win[:k])
             if value is not None:
                 return value
-        for x, rx, tx in zip(xs, r_win, t_win):
+        for x, rx, tx in zip(range(i, i + k + 1), r_win, t_win):
             if x not in rows[0]:  # rows are deterministic: write-once suffices
                 rows[0].setdefault(x, _row((tx, *(_weight(c, x, rx, convention)
                                                   for c in range(1, k + 1)))))
@@ -282,8 +310,7 @@ def _table(kind: Kind, k: int, s: NumStream, convention: GConvention, j=None) ->
         d, n = rows[k][i]
         return n[0] if d is None else Fraction(n[0], d)
 
-    length = None if r.length is None else max(r.length - k, 0)
-    return NumStream(compute, length)
+    return NumStream(compute, _extent(kind, s, k))
 
 
 def g_algorithm(
@@ -328,7 +355,9 @@ def levin(kind: Kind, k: int, s: NumStream) -> NumStream:
     Δs[i]·R[i] = 0 the cell is s[i] and R[i+1] is not read. From order 2
     on, a zero denominator is undefined as in `div`. An undefined operand
     makes the cell undefined with the cause of the first one in summand
-    order (see `_summand_operands`). Order 1 with kind T is `aitken`.
+    order, s[i+k], R[i+k-1..i], s[i+k-1], R[i+k], s[i+k-2..i] (the
+    summands wⱼ s[i+j] ∏ R[i+m], j then m != j from k down to 0). Order
+    1 with kind T is `aitken`.
     Kind u scales R[i] by i + 1 while the weights use (i+j)^(k-1), so
     from order 2 on it is a modified u, the textbook variant u for no β.
     """
@@ -336,37 +365,31 @@ def levin(kind: Kind, k: int, s: NumStream) -> NumStream:
         raise ValueError(f"order must be >= 0, got {k}")
     if k == 0:
         return s
-    r = remainder_estimate(kind, s)
+    remainder = _remainders(kind, forward_difference(s))
+    last = (0, (), ())  # the window read last: i, then s and (Δs, R) at i..i+k
 
     def compute(i: int) -> Element:
-        s_win = [s.at(i + j) for j in range(k + 1)]
-        if k == 1:
-            s0, s1, r0 = s_win[0], s_win[1], r.at(i)
+        nonlocal last
+        i0, s_last, dr_last = last
+        s_win = _slide(s.at, i, k + 1, i0, s_last)
+        dr = _slide(remainder, i, 1 if k == 1 else k + 1, i0, dr_last)
+        last = (i, s_win, dr)
+        if k == 1:  # R[i] alone first: the short-circuit leaves R[i+1] unread
+            (s0, s1), r0 = s_win, dr[0][1]
             u = first_undefined(s0, s1, r0)
-            if u:
-                return propagated(u)
-            if s1 == s0 or r0 == 0:  # Δs[i]·R[i] = 0
-                return s0
-        r_win = [r.at(i + m) for m in range(k + 1)]
-        u = first_undefined(*_summand_operands(s_win, r_win))
+            if u or s1 == s0 or r0 == 0:  # Δs[i]·R[i] = 0
+                return propagated(u) if u else s0
+            dr += _slide(remainder, i + 1, 1, i0, dr_last)
+            last = (i, s_win, dr)
+        d_win, r_win = zip(*dr)
+        u = first_undefined(s_win[k], *reversed(r_win[:k]), s_win[k - 1], r_win[k],
+                            *reversed(s_win[:k - 1]))
         if u:
             return propagated(u)
         # ws[j] is ∏ R[i+m] over m != j, divided by the product of the nonzero R.
         lone_zero = r_win.count(0) == 1
         ws = [int(lone_zero and c == 0) for c in r_win] if 0 in r_win else _reciprocals(r_win)
-        return _weighted_ratio(ws, s_win, i)
+        return _weighted_ratio(ws, s_win[0], d_win[:k], i)
 
-    length = None if r.length is None else max(r.length - k, 0)
-    return NumStream(compute, length)
+    return NumStream(compute, _extent(kind, s, k))
 
-
-def _summand_operands(s_win: list, r_win: list):
-    """Operands of the summands wⱼ s[i+j] ∏ R[i+m] (m != j), j = k down to 0.
-
-    Each summand yields s[i+j] and then R[i+m] for m = k down to 0,
-    m != j; the first undefined one names the cell's cause.
-    """
-    k = len(s_win) - 1
-    for j in range(k, -1, -1):
-        yield s_win[j]
-        yield from (r_win[m] for m in range(k, -1, -1) if m != j)

@@ -393,3 +393,47 @@ def test_package_init_is_the_one_export_list():
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert public == PUBLIC_API and len(PUBLIC_API) == 40
     assert [p.name for p in (SRC / "seqaccel").glob("*.py") if "__all__" in p.read_text()] == []
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    # `main` builds its parser once and reuses it. Over valid commands, usage
+    # errors (exit 1), --help (exit 0), an unknown generator and an empty
+    # argv, run forward and backward, every call prints and exits as a call
+    # with a freshly built parser does.
+    from seqaccel import cli
+
+    argvs = [
+        README_CATALAN,
+        ["table", "--method", "ealg", "--kind", "t", "--order", "3", "--g-convention", "code",
+         "--generator", "leibniz-pi4-terms", "--terms", "12", "--digits", "8"],
+        ["sum-series", "--generator", "grandi-terms", "--terms", "3"],
+        ["growth-coeff", "--order", "-1", "--generator", "catalan", "--terms", "10"],
+        ["accelerate", "--generator", "catalan"],
+        ["table", "--mode", "at-index:1", "--generator", "catalan", "--terms", "4"],
+        ["--help"],
+        ["table", "--help"],
+        ["growth-coeff", "--generator", "nope", "--terms", "10"],
+        [],
+        ["sum-series", "--mode", "at-index:2", "--method", "ealg", "--kind", "t",
+         "--generator", "grandi-terms", "--digits", "6"],
+    ]
+    built = []
+    build = cli.build_parser
+
+    def counted_build():
+        built.append(build())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", counted_build)
+    want = []
+    for argv in argvs:
+        monkeypatch.setattr(cli, "_parser", None)
+        want.append(run_cli(capsys, *argv))
+    assert {code for code, _, _ in want} == {0, 1, 2} and len(built) == len(argvs)
+    assert all(out or err for _, out, err in want)
+    monkeypatch.setattr(cli, "_parser", None)
+    built.clear()
+    for order in (range(len(argvs)), reversed(range(len(argvs)))):
+        for n in order:
+            assert run_cli(capsys, *argvs[n]) == want[n], argvs[n]
+    assert len(built) == 1 and cli._parser is built[0]

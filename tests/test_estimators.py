@@ -254,14 +254,15 @@ class TestReports:
         assert set(source.reads.values()) == {1}
 
     # Streams built by one TakeLast growth_coefficient or sum_series report:
-    # source, input view, preparation, Δs, R (kinds u and v only), the
-    # transform (for the E-algorithm, its table) and the one-shorter cut.
+    # source, input view, preparation, Δs, the transform (for the
+    # E-algorithm, its table) and the one-shorter cut. R is no stream of
+    # its own: the transform's window forms it from Δs, for every kind.
     @pytest.mark.parametrize("mode", [TakeLast(), AtIndex(5)], ids=["take-last", "at-index-5"])
     @pytest.mark.parametrize("spec,streams", [
         (TransformSpec(Method.LEVIN, Kind.T, 2), 6),
-        (TransformSpec(Method.LEVIN, Kind.U, 2), 7),
-        (TransformSpec(Method.LEVIN, Kind.V, 2), 7),
-        (TransformSpec(Method.EALG, Kind.V, 3), 7),
+        (TransformSpec(Method.LEVIN, Kind.U, 2), 6),
+        (TransformSpec(Method.LEVIN, Kind.V, 2), 6),
+        (TransformSpec(Method.EALG, Kind.V, 3), 6),
     ], ids=["levin-t2", "levin-u2", "levin-v2", "ealg-v3"])
     @pytest.mark.parametrize("run", list(PIPELINES), ids=lambda f: f.__name__)
     def test_one_stream_per_stage(self, monkeypatch, run, spec, streams, mode):
@@ -389,9 +390,74 @@ class TestReports:
         assert counts["scientific"] > 100 and counts["positional"] > 100
         assert all(counts[k] > 0 for k in range(0, 13))
 
+    def test_stable_digits_one_pass_matches_per_digit_rounding(self):
+        def exponent(x):
+            a, e = abs(x), 0
+            while a >= F(10) ** (e + 1):
+                e += 1
+            while a < F(10) ** e:
+                e -= 1
+            return e
+
+        def rounded(x, d):
+            # Sign, d-digit mantissa and exponent of x != 0, rounded ties to
+            # even by `round` on an exact Fraction: one rounding per d.
+            e = exponent(x)
+            m = round(abs(x) / F(10) ** (e - d + 1))
+            return (x < 0, m // 10, e + 1) if m == 10 ** d else (x < 0, m, e)
+
+        def per_digit(x, y, up_to):
+            if x == y:
+                return up_to
+            if x == 0 or y == 0:
+                return 0
+            agreed = 0
+            for d in range(1, up_to + 1):
+                if rounded(x, d) != rounded(y, d):
+                    break
+                agreed = d
+            return agreed
+
+        rng = random.Random(1515)
+        pairs = [
+            (F(1949, 10000), F(1951, 10000)),  # differ at 2 digits, agree at 3
+            (F(19999, 100000), F(20001, 100000)),  # carry: agree up to 4 digits
+            (F(99996, 100000), F(1)),  # rollover to the next exponent
+            (F(99996, 100000), F(10001, 10000)),
+            (F(-99996, 10 ** 9), F(-1, 10 ** 4)),
+            (F(1, 3), F(-1, 3)),  # opposite signs
+            (F(25, 1000), F(35, 1000)),  # exact ties, rounded to even
+            (F(125, 1000), F(135, 10000)),  # exponents two apart
+        ]
+        for _ in range(1500):
+            e, digits = rng.randint(-30, 30), rng.randint(1, 40)
+            x = F(rng.randint(1, 10 ** digits), 10 ** digits) * F(10) ** e
+            if rng.random() < 0.3:  # just below a power of ten
+                x = (1 - F(rng.randint(1, 99), 10 ** rng.randint(2, 40))) * F(10) ** e
+            shift = F(rng.randint(-999, 999), 10 ** rng.randint(1, 45))
+            y = rng.choice([x + shift * F(10) ** e, x * (1 + shift), -x * (1 + shift),
+                            x * 10 + shift, x / 10 * (1 + shift),
+                            F(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))])
+            pairs.append((x, y) if rng.random() < 0.5 else (y, x))
+        seen = Counter()
+        for x, y in pairs:
+            up_to = rng.randint(1, 60)
+            want = per_digit(x, y, up_to)
+            assert _stable_digits(x, y, up_to) == want, (x, y, up_to)
+            seen["exponents differ" if x * y > 0 and exponent(x) != exponent(y)
+                 else "same exponent"] += want > 0
+            seen[min(want, 30)] += 1
+        assert seen["exponents differ"] > 20 and seen["same exponent"] > 200, seen
+        assert all(seen[d] > 0 for d in range(31)), seen
+        # Long agreements take one expansion, not one rounding per digit.
+        third = F(1, 3)
+        assert _stable_digits(third, third + F(1, 10 ** 4000), 4010) == 3999
+        assert _stable_digits(1 - F(1, 10 ** 3000), 1 + F(1, 10 ** 3500), 6000) == 2999
+        assert _stable_digits(-third, -third - F(1, 10 ** 6000), 6010) == 5999
+
     def test_equal_values_are_stable_without_rounding(self, monkeypatch):
         calls = []
-        monkeypatch.setattr("seqaccel.estimators._round_significant",
+        monkeypatch.setattr("seqaccel.estimators._expansion",
                             lambda *args: calls.append(args))
         for x in (F(1, 3), F(-7, 2) * F(10) ** 40, F(4), F(0)):
             assert _stable_digits(x, F(x), 16_000) == 16_000

@@ -22,6 +22,7 @@ from seqaccel import (
     accelerate_sequence,
     aitken,
     e_algorithm,
+    forward_difference,
     from_function,
     from_values,
     g_algorithm,
@@ -465,18 +466,23 @@ class TestClosedForm:
 
     def test_table_cell_reads_its_window_once(self, monkeypatch):
         # A cell that takes the table builds its level-0 rows from the window
-        # it already read: one `at` per cell of R and of s, and for
-        # `g_algorithm` one g(0, j) per cell. R comes from a copy of the
-        # input, so the counts hold only the table's own reads.
+        # it already read: one `at` per cell of s, one R (`_remainders`) per
+        # cell, and for `g_algorithm` one g(0, j) per cell. Δs comes from a
+        # copy of the input, so the s counts hold only the table's own reads.
         served = _count_paths(monkeypatch)
-        tops = Counter()
-        weight = transforms._weight
+        tops, remainders = Counter(), Counter()
+        weight, reader = transforms._weight, transforms._remainders
 
         def counted_weight(c, x, *rest):
             tops[c, x] += 1
             return weight(c, x, *rest)
 
+        def counted_reader(kind, d):
+            cell = reader(kind, d)
+            return lambda x: remainders.update([x]) or cell(x)
+
         monkeypatch.setattr(transforms, "_weight", counted_weight)
+        monkeypatch.setattr(transforms, "_remainders", counted_reader)
         base = [F(1, x * x + 3) for x in range(12)]
         zero_r = base[:2] + base[1:11]
         undefined = base[:1] + [DZ] + base[2:]
@@ -486,17 +492,141 @@ class TestClosedForm:
             for conv, k in [(conv, k) for conv in CONVENTIONS for k in (1, 3, 8)]:
                 window = {x: 1 for x in range(k + 1)}
                 s = _CountedReads(from_values(values))
-                r = _CountedReads(remainder_estimate(kind, from_values(values)))
                 tops.clear()
+                remainders.clear()
                 with monkeypatch.context() as m:
-                    m.setattr(transforms, "remainder_estimate", lambda *_: r)
+                    m.setattr(transforms, "forward_difference",
+                              lambda _: forward_difference(from_values(values)))
                     e_algorithm(kind, k, s, conv).at(0)
-                    assert (s.reads, r.reads) == (window, window), (values, kind, conv, k)
-                    r.reads.clear()
+                    assert (s.reads, remainders) == (window, window), (values, kind, conv, k)
+                    remainders.clear()
                     g_algorithm(kind, k, k + 1, s, conv).at(0)
-                assert r.reads == window and Counter(
+                assert remainders == window and Counter(
                     {x: n for (c, x), n in tops.items() if c == k + 1}) == window
         assert served == {"table": 2 * 7 * 2 * 3}, served
+
+
+def _window_cases():
+    """(name, k, build, oracle) for each transform, kind, convention and order k = 0-12."""
+    for k in range(13):
+        for kind in KINDS:
+            code = kind_code(kind)
+            levin_oracle = (
+                (lambda v: v) if k == 0 else
+                (lambda v, code=code: oracles.levin1_list(code, v)) if k == 1 else
+                (lambda v, code=code, k=k: oracles.levin_product_list(code, k, v)))
+            yield f"levin-{code}{k}", k, lambda s, kind=kind, k=k: levin(kind, k, s), levin_oracle
+            for conv in CONVENTIONS:
+                yield (f"ealg-{code}{k}-{conv.value}", k,
+                       lambda s, kind=kind, k=k, conv=conv: e_algorithm(kind, k, s, conv),
+                       lambda v, code=code, k=k, conv=conv:
+                       oracles.ealg_list(code, k, v, conv.value))
+                j = k % 3 + 1
+                yield (f"galg-{code}{k}-{conv.value}-j{j}", k,
+                       lambda s, kind=kind, k=k, j=j, conv=conv: g_algorithm(kind, k, j, s, conv),
+                       lambda v, code=code, k=k, j=j, conv=conv:
+                       oracles.galg_list(code, k, j, v, conv.value))
+
+
+def _read_orders(rng: random.Random, n: int) -> dict[str, list[int]]:
+    shuffled = rng.sample(range(n), n)
+    stride = rng.randint(2, 4)
+    return {"ascending": list(range(n)), "descending": list(range(n))[::-1],
+            "random": shuffled, "strided": [x for o in range(stride) for x in range(o, n, stride)]}
+
+
+class TestSlidingWindow:
+    """A transform stream reuses its last window; every read order gives the same cells."""
+
+    UNDEFINED = [DZ, ZZ, OOR, P(DZ), P(ZZ), P(OOR)]
+
+    @pytest.mark.parametrize("name,k,build,oracle", list(_window_cases()),
+                             ids=[case[0] for case in _window_cases()])
+    def test_any_read_order_gives_fresh_cells(self, monkeypatch, name, k, build, oracle):
+        # Small spans give zeros and repeats; every reason of Undefined is
+        # mixed in. Each cell of a fresh stream is read alone, then every
+        # cell of one stream in each order; both match the list oracle.
+        plain, memo = oracles.galg_list, {}
+
+        def galg_list(*args):  # the oracle's recursion, evaluated once per argument
+            key = repr(args)
+            if key not in memo:
+                memo[key] = plain(*args)
+            return memo[key]
+
+        monkeypatch.setattr(oracles, "galg_list", galg_list)
+        rng = random.Random(name)
+        for span in (1, 3, 9):
+            values = random_stream_values(rng, k + rng.randint(3, 10), span)
+            for x in rng.sample(range(len(values)), rng.choice([0, 1, 2])):
+                values[x] = rng.choice(self.UNDEFINED)
+            n = build(from_values(values)).length
+            fresh = [build(from_values(values)).at(i) for i in range(n)]
+            want = oracle([None if isinstance(v, Undefined) else F(v) for v in values])
+            assert [None if isinstance(c, Undefined) else c for c in fresh] == want[:n], values
+            for order, idx in _read_orders(rng, n).items():
+                out = build(from_values(values))
+                got = {i: out.at(i) for i in idx}
+                assert [got[i] for i in range(n)] == fresh, (values, order)
+                assert all(repr(got[i]) == repr(fresh[i]) for i in range(n))  # reason and cause
+
+    @pytest.mark.parametrize("k", [2, 5, 12])
+    def test_concurrent_readers_in_every_order(self, k):
+        rng = random.Random(k)
+        values = random_stream_values(rng, 40, 3)
+        values[7], values[23] = DZ, P(ZZ)
+        for name, order, build, _ in _window_cases():
+            if order != k:
+                continue
+            n = build(from_values(values)).length
+            fresh = [repr(build(from_values(values)).at(i)) for i in range(n)]
+            orders = list(_read_orders(rng, n).values())
+            out = build(from_values(values))
+            start, seen = threading.Barrier(8), {}
+
+            def read(reader: int) -> None:
+                start.wait(timeout=60)
+                cells = {i: out.at(i) for i in orders[reader % 4]}
+                seen[reader] = [repr(cells[i]) for i in range(n)]
+
+            threads = [threading.Thread(target=read, args=(r,)) for r in range(8)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert sorted(seen) == list(range(8)) and all(c == fresh for c in seen.values()), name
+
+    @pytest.mark.parametrize("k", [2, 3, 12])
+    def test_reads_per_cell_along_a_stream(self, monkeypatch, k):
+        # Reading all 300 cells in order, a cell reads only what its window
+        # lacks: at most 6 `NumStream.at` calls (7 for kind v, whose R
+        # reads one Δs cell more), counting the read of the cell itself.
+        values = take(partial_sums(leibniz_pi4_terms()), 300 + k + 2).to_list()
+        calls = Counter()
+        at = NumStream.at
+
+        def counted(stream, i):
+            calls[0] += 1
+            return at(stream, i)
+
+        for kind in KINDS:
+            for build in (lambda s: levin(kind, k, s),
+                          lambda s: e_algorithm(kind, k, s, GConvention.TEXT),
+                          lambda s: e_algorithm(kind, k, s, GConvention.CODE)):
+                out = build(from_values(values))
+                assert out.length >= 300
+                calls.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(NumStream, "at", counted)
+                    for i in range(300):
+                        out.at(i)
+                assert calls[0] / 300 <= (7 if kind is Kind.V else 6), (kind, k, calls[0] / 300)
 
 
 class TestSharedTable:
