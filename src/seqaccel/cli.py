@@ -11,11 +11,12 @@ Output is plain text, one result per line, "." as the decimal separator,
 byte-identical across repeated invocations. Exit codes: 0 for a defined
 result, 2 when the requested cell is undefined, 1 for usage or input
 errors ("seqaccel: error: ..."), 3 for an internal failure (its traceback,
-then "seqaccel: internal error: <Type>: ...").
+then "seqaccel: internal error: <Type>: ..."), 141 if stdout closes early.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .estimators import (AtIndex, EvaluationMode, InsufficientTermsError, TakeLast,
@@ -121,9 +122,14 @@ def main(argv=None) -> int:
     global _parser
     try:
         _parser = _parser or build_parser()
-        return _run(_parser.parse_args(argv), sys.stdout)
+        code = _run(_parser.parse_args(argv), sys.stdout)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
     except SystemExit as exc:  # the parser's own exit: --help, or a usage error
         return exc.code if isinstance(exc.code, int) else 1
+    except BrokenPipeError:  # not an input error: point stdout at devnull for the exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (argparse.ArgumentError, UnknownSequenceError, SequenceParseError,
             InsufficientTermsError, UnicodeDecodeError, OSError) as exc:  # fixable input
         print(f"seqaccel: error: {exc}", file=sys.stderr)

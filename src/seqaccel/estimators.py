@@ -137,6 +137,22 @@ def _stable_digits(current: Element, previous: Element, up_to: int) -> int:
     return up_to
 
 
+class _SourceView(NumStream):
+    """The source cut to n terms (TakeLast), on the source's cache; records the highest read."""
+
+    def __init__(self, source: NumStream, length: int | None):
+        super().__init__(source.at, length)
+        self._cache = source._cache
+        self.highest = -1
+
+    def at(self, i: int) -> Element:
+        if self._length is not None and i >= self._length:
+            return Undefined(UndefinedReason.OUT_OF_RANGE)
+        self.highest = max(self.highest, i)
+        cell = self._cache.get(i)
+        return self._compute(i) if cell is None else cell
+
+
 def _report(
     transform: TransformSpec,
     source: NumStream,
@@ -154,19 +170,11 @@ def _report(
             raise InsufficientTermsError(f"need at least {min_terms} terms, got {n_terms}")
         _require_terms(source, n_terms)
 
-    # One view of the source, cut to n terms in TakeLast mode, records the
-    # highest source cell forced.
-    highest = -1
-
-    def read(i: int) -> Element:
-        nonlocal highest
-        highest = max(highest, i)
-        return source.at(i)
-
-    stream = transform.apply(prepare(NumStream(read, n_terms if take_last else source.length)))
+    view = _SourceView(source, n_terms if take_last else source.length)
+    stream = transform.apply(prepare(view))
     estimate = last_defined(stream) if take_last else stream.at(mode.index)
     # Before the stability read, which may force cells the estimate did not.
-    terms_used = highest + 1
+    terms_used = view.highest + 1
 
     # Stability diagnostic: the run one step shorter. Every in-range output
     # cell of ratio_stream, partial_sums, levin and e_algorithm reads only

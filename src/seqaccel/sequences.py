@@ -4,12 +4,12 @@ The built-ins cover the library's worked examples: Catalan numbers,
 counts of plain lambda terms by size (OEIS A114851), term streams of two
 classical divergent series, and the Leibniz series for pi/4 as a
 convergent benchmark. Values are always computed, never hard-coded.
-Both integer sequences are defined by an O(n^2) convolution but
-generated by a linear recurrence with polynomial coefficients, so n
-terms cost O(n) big-integer operations; the tests check each generator
-against its defining convolution (`tests/oracles.py`), and Catalan also
-against the closed form. `open_source(name)` looks a built-in up by its
-CLI name.
+Both integer sequences are defined by an O(n^2) convolution but computed
+by recurrences: plain lambda counts step up from the seed, a Catalan cell
+from a known neighbour or else by the binomial closed form. The tests
+check each generator against its defining convolution (`tests/oracles.py`),
+and Catalan also against the closed form. `open_source(name)` looks a
+built-in up by its CLI name.
 
 External data arrives through `load_sequence`: one value per line,
 integers, "p/q" rationals, decimals or "undefined(<cause>)", "#"
@@ -20,37 +20,33 @@ from __future__ import annotations
 import threading
 from collections.abc import Callable
 from fractions import Fraction
+from math import comb
 
 from .scalars import Undefined, UndefinedReason, parse_scalar
 from .streams import NumStream, from_function, from_values
 
 
-def _recurrence_stream(seed: list[int], extend: Callable[[list[int]], int]) -> NumStream:
-    """Infinite stream from an integer recurrence with internal memo."""
-    values = list(seed)
-    lock = threading.Lock()
-
-    def compute(i: int) -> Fraction:
-        with lock:
-            while len(values) <= i:
-                values.append(extend(values))
-            return Fraction(values[i])
-
-    return NumStream(compute)
-
-
 def catalan_stream() -> NumStream:
     """Catalan numbers 1, 1, 2, 5, 14, ...
 
-    Defined by C[0] = 1, C[n] = sum_{j<n} C[j]*C[n-1-j]; generated by
-    C[n] = C[n-1] * 2(2n-1) / (n+1), where the division is exact.
+    Defined by C[0] = 1, C[n] = sum_{j<n} C[j]*C[n-1-j]. A read steps from a
+    known neighbour, C[n] = C[n-1] * 2(2n-1) / (n+1), or takes C(2n, n) / (n+1).
     """
+    known: dict[int, int] = {}
+    lock = threading.Lock()
 
-    def extend(c: list[int]) -> int:
-        n = len(c)
-        return c[-1] * 2 * (2 * n - 1) // (n + 1)
+    def compute(n: int) -> Fraction:
+        with lock:
+            if n - 1 in known:
+                c = known[n - 1] * 2 * (2 * n - 1) // (n + 1)
+            elif n + 1 in known:
+                c = known[n + 1] * (n + 2) // (2 * (2 * n + 1))
+            else:
+                c = comb(2 * n, n) // (n + 1)
+            known[n] = c
+            return Fraction(c)
 
-    return _recurrence_stream([1], extend)
+    return NumStream(compute)
 
 
 def plain_lambda_terms_stream() -> NumStream:
@@ -68,23 +64,28 @@ def plain_lambda_terms_stream() -> NumStream:
     The division by n+8 is exact; a remainder raises ArithmeticError
     rather than rounding a count.
     """
+    v = [0, 0, 1, 1, 2, 2]
+    lock = threading.Lock()
 
-    def extend(v: list[int]) -> int:
-        n = len(v) - 6
-        total = (
-            (2 * n + 14) * v[n + 5]
-            + (n + 4) * v[n + 4]
-            - (4 * n + 16) * v[n + 3]
-            + (5 * n + 12) * v[n + 2]
-            - (2 * n + 4) * v[n + 1]
-            - n * v[n]
-        )
-        count, remainder = divmod(total, n + 8)
-        if remainder:
-            raise ArithmeticError(f"plain-lambda recurrence not exact at index {n + 6}")
-        return count
+    def compute(i: int) -> Fraction:
+        with lock:
+            while len(v) <= i:
+                n = len(v) - 6
+                total = (
+                    (2 * n + 14) * v[n + 5]
+                    + (n + 4) * v[n + 4]
+                    - (4 * n + 16) * v[n + 3]
+                    + (5 * n + 12) * v[n + 2]
+                    - (2 * n + 4) * v[n + 1]
+                    - n * v[n]
+                )
+                count, remainder = divmod(total, n + 8)
+                if remainder:
+                    raise ArithmeticError(f"plain-lambda recurrence not exact at index {n + 6}")
+                v.append(count)
+            return Fraction(v[i])
 
-    return _recurrence_stream([0, 0, 1, 1, 2, 2], extend)
+    return NumStream(compute)
 
 
 def grandi_terms() -> NumStream:

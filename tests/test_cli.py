@@ -357,6 +357,24 @@ class TestPythonDashM:
         assert (proc.returncode, proc.stdout) == (0, "4.000000024\nstable-digits: 10\n")
 
 
+class TestClosedStdout:
+    def test_a_reader_that_stops_early_is_not_an_input_error(self):
+        # The rows outrun the pipe buffer, so writes after the reader closes fail.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "seqaccel", "table", "--generator", "catalan",
+             "--terms", "3000", "--digits", "12"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 141
+        assert first == b"0\t1.00000000000\tundefined(zero-over-zero)\n"
+        assert err == b""
+
+
 class TestGConventionFlag:
     @pytest.mark.parametrize("convention,expected_first", [
         ("text", "3.97959"),

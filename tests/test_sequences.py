@@ -2,18 +2,23 @@ import math
 import random
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from seqaccel import (
     BUILTIN_SEQUENCES,
+    Kind,
+    Method,
     SequenceParseError,
+    TransformSpec,
     Undefined,
     UndefinedReason,
     alternating_naturals_terms,
     catalan_stream,
     grandi_terms,
+    growth_coefficient,
     last_defined,
     leibniz_pi4_terms,
     load_sequence,
@@ -47,9 +52,47 @@ class TestCatalan:
             assert s.at(n + 1) * (n + 2) == s.at(n) * (4 * n + 2)
 
     def test_closed_form_to_2000(self):
-        # Independent of the generator's product recurrence.
+        # A prefix read takes only cell 0 from the closed form and steps up
+        # from there, so cells 1..2000 are checked against the closed form
+        # they were not computed by.
         got = catalan_stream().prefix(2001)
         assert got == [math.comb(2 * n, n) // (n + 1) for n in range(2001)]
+
+    def test_cold_reads_match_the_convolution(self):
+        want = oracles.catalan_list(601)
+        for n in [0, 1, 600, *random.Random(16).sample(range(601), 30)]:
+            assert catalan_stream().at(n) == want[n]
+
+    @pytest.mark.parametrize("order", ["random", "descending", "strided"])
+    def test_any_read_order_matches_the_product_recurrence(self, order):
+        # Cold cells come from the binomial, cells next to a known one by a
+        # step up or down; a random order mixes all three.
+        want = [1]
+        for n in range(1, 3001):
+            want.append(want[-1] * 2 * (2 * n - 1) // (n + 1))
+        indices = list(range(3001))
+        if order == "random":
+            random.Random(3).shuffle(indices)
+        elif order == "descending":
+            indices.reverse()
+        else:
+            indices = [i for stride in (997, 89, 7, 1) for i in range(stride // 2, 3001, stride)]
+        s = catalan_stream()
+        for i in indices:
+            assert s.at(i) == want[i], i
+
+    def test_a_growth_run_keeps_only_the_cells_near_n(self):
+        # Only the cells near n are kept; every C[n] below 20,000 would take ~50 MB.
+        tracemalloc.start()
+        try:
+            report = growth_coefficient(TransformSpec(Method.LEVIN, Kind.U, 2),
+                                        catalan_stream(), 20000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.rendered == "4.000000000"
+        assert report.terms_used == 20000
+        assert peak < 2_000_000
 
     def test_purity(self):
         a, b = catalan_stream(), catalan_stream()
