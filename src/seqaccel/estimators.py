@@ -33,7 +33,7 @@ from .scalars import (
     is_defined,
     render_decimal,
 )
-from .streams import NumStream, last_defined, partial_sums, take
+from .streams import NumStream, _View, last_defined, partial_sums, take
 from .transforms import TransformSpec
 
 
@@ -137,22 +137,6 @@ def _stable_digits(current: Element, previous: Element, up_to: int) -> int:
     return up_to
 
 
-class _SourceView(NumStream):
-    """The source cut to n terms (TakeLast), on the source's cache; records the highest read."""
-
-    def __init__(self, source: NumStream, length: int | None):
-        super().__init__(source.at, length)
-        self._cache = source._cache
-        self.highest = -1
-
-    def at(self, i: int) -> Element:
-        if self._length is not None and i >= self._length:
-            return Undefined(UndefinedReason.OUT_OF_RANGE)
-        self.highest = max(self.highest, i)
-        cell = self._cache.get(i)
-        return self._compute(i) if cell is None else cell
-
-
 def _report(
     transform: TransformSpec,
     source: NumStream,
@@ -170,7 +154,8 @@ def _report(
             raise InsufficientTermsError(f"need at least {min_terms} terms, got {n_terms}")
         _require_terms(source, n_terms)
 
-    view = _SourceView(source, n_terms if take_last else source.length)
+    # The source cut to n terms (TakeLast), on the source's cache.
+    view = _View(source, n_terms if take_last else source.length)
     stream = transform.apply(prepare(view))
     estimate = last_defined(stream) if take_last else stream.at(mode.index)
     # Before the stability read, which may force cells the estimate did not.

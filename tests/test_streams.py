@@ -2,6 +2,7 @@ import random
 import sys
 import threading
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,6 +20,7 @@ from seqaccel import (
     take,
     zip_with,
 )
+from seqaccel import streams
 from seqaccel.scalars import add, div, is_defined, mul, sub
 
 import oracles
@@ -108,6 +110,19 @@ class TestCombinators:
     def test_take_negative_rejected(self):
         with pytest.raises(ValueError):
             take(iota(0, 1), -1)
+
+    def test_take_reads_through_its_input_cache(self):
+        src, calls = counting_source()
+        view = take(take(src, 400), 300)
+        assert view.prefix(300) == [1] * 300
+        assert view._cache is src._cache and len(src._cache) == 300
+        assert sorted(calls) == list(range(300))
+
+    def test_from_values_keeps_each_value_once(self):
+        s = from_values(range(100))
+        assert s._cache == {i: i for i in range(100)}
+        assert s._compute.__self__ is s._cache  # no second container of the cells
+        assert s.to_list() == list(range(100)) and len(s._cache) == 100
 
 
 class TestLastDefined:
@@ -347,6 +362,81 @@ class TestPartialSumsDifferential:
         assert sums.at(3) == Undefined(UndefinedReason.PROPAGATED_FROM_INPUT, u.cause)
         assert sums.at(1) == F(3)
         assert sums.at(2) == Undefined(UndefinedReason.PROPAGATED_FROM_INPUT, u.cause)
+
+
+def sums_agree_with_oracle(values, reads):
+    sums = partial_sums(from_values(values))
+    want = oracles.partial_sums_list(values)
+    for i in reads:
+        assert sums.at(i) == want[i], i
+
+
+class TestPartialSumsRuns:
+    """Gap sums fold small-denominator terms into gcd-free runs of 16."""
+
+    @pytest.mark.parametrize("gap", [1, 15, 16, 17, 33, 1000])
+    def test_gap_lengths_match_the_oracle(self, gap):
+        rng = random.Random(gap)
+        values = [F(rng.randint(-9, 9), rng.choice((1, 3, 2 ** 31 + 11, 2 ** 40 + 1, 2 ** 64)))
+                  for _ in range(3 * gap)]
+        # Three gaps from nothing, then one gap less the known cell above,
+        # then one gap from nothing again.
+        sums_agree_with_oracle(values, [3 * gap - 1, 2 * gap - 1, gap - 1])
+
+    @pytest.mark.parametrize("q", [2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1])
+    def test_denominators_at_the_run_gate(self, q):
+        values = [F(i % 5 - 2, q if i % 3 else 2 * i + 1) for i in range(70)]
+        sums_agree_with_oracle(values, [69, 20, 35])
+        sums_agree_with_oracle([F(1, q)] * 40, [39, 16])
+
+    @pytest.mark.parametrize("values", [
+        [F(i, 7) for i in range(-50, 50)],
+        [F(0)] * 40,
+        [F(0) if i % 4 else F(1, i + 1) for i in range(60)],
+        [F(1, factorial(i)) for i in range(300)],
+        [F(1, 2 ** i) for i in range(300)],
+    ], ids=["equal-denominators", "zeros", "some-zeros", "inverse-factorials", "powers-of-half"])
+    def test_series_match_the_oracle(self, values):
+        sums_agree_with_oracle(values, [len(values) - 1, 17, 16, 0, len(values) // 2])
+
+    def test_runs_are_gated_on_denominator_size(self, monkeypatch):
+        # Ungated runs of 1/i! multiply unreduced factorials: the largest gcd
+        # operand grows to ~16x the result's denominator (and the sum ~100x slower).
+        largest = 0
+        gcd = streams.gcd
+
+        def spy(a, b):
+            nonlocal largest
+            largest = max(largest, a.bit_length(), b.bit_length())
+            return gcd(a, b)
+
+        monkeypatch.setattr(streams, "gcd", spy)
+        total = partial_sums(from_values(F(1, factorial(i)) for i in range(1500))).at(1499)
+        assert 0 < largest <= 2 * total.denominator.bit_length()
+
+
+class TestNestingDepth:
+    """A cold read recurses through every stage, so its depth is bounded.
+
+    Past the interpreter's recursion limit the read raises RecursionError;
+    the same pipeline read stage by stage from the bottom up answers.
+    """
+
+    # Cell 1 of `depth` stages over the ones.
+    @pytest.mark.parametrize("stage,want", [
+        (lambda s: take(s, 5), lambda depth: 1),
+        (partial_sums, lambda depth: depth + 1),
+    ], ids=["take", "partial_sums"])
+    def test_past_the_recursion_limit_raises_and_bottom_up_answers(self, stage, want):
+        depth = sys.getrecursionlimit()  # every stage adds at least one frame
+        stages = [iota(1, 0)]
+        for _ in range(depth):
+            stages.append(stage(stages[-1]))
+        with pytest.raises(RecursionError):
+            stages[-1].at(1)
+        for s in stages:
+            s.at(1)
+        assert stages[-1].at(1) == want(depth)
 
 
 class TestPartialSumsConcurrency:
