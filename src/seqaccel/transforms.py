@@ -24,22 +24,23 @@ Both families compute cell i of order k >= 1 with one kernel,
 weighted sum of integers and one `Fraction`. Levin has t = s, w = 1/R
 and n0 = i; where R[i..i+k] has zeros, the cell is s[i+j] for a lone
 zero R[i+j] (`zero-over-zero` if (i+j)^(k-1) = 0) and `zero-over-zero`
-for two or more. An E-algorithm cell has this form wherever its
-elimination table has no zero pivot, since these weights solve the
-model exactly (Brezinski 1980; Sidi 2003): t is the top column (s, or
-g(0, j) for `g_algorithm`), and w = 1/R with n0 = i + 1 (TEXT, Levin's
-model with n = x + 1) or w = R with no power of n (CODE). Each cell
-first reads R[i..i+k] and t there; if all are defined, R has no zero,
-and an exact O(k²) triangle shows every pivot nonzero, the kernel
-computes the cell. Every other cell (an undefined cell in the window,
-a zero R or a zero pivot) is computed by the table from the window it
-read; the table stores a fully defined row as integer numerators over
-one common denominator: one elimination is two integer products per
-column and one gcd per row. A row with an undefined cell, and an
+for two or more. An E-algorithm cell is a ratio of two determinants
+(Brezinski 1980), and these weights solve the model exactly (Sidi 2003),
+so the kernel evaluates that ratio: t is the top column (s, or g(0, j)
+for `g_algorithm`), and w = 1/R with n0 = i + 1 (TEXT, Levin's model
+with n = x + 1) or w = R with no power of n (CODE). Each cell first
+reads R[i..i+k] and t there; if all are defined, R has no zero and the
+ratio's denominator is nonzero, the kernel computes the cell. The
+recursive table gives the same value wherever none of its pivots is
+zero; where an intermediate pivot vanishes but the ratio exists, the
+cell is the ratio. Every other cell (an undefined cell in the window, a
+zero R or a zero denominator) is computed by the table from the window
+it read; the table stores a fully defined row as integer numerators
+over one common denominator: one elimination is two integer products
+per column and one gcd per row. A row with an undefined cell, and an
 elimination whose pivot difference is zero, go cell by cell through the
 one elimination step above, which alone holds the rules for degenerate
-cells. Both routes give the same values, `Undefined` reasons and
-causes, and read the same window, once.
+cells. Both routes read the same window, once.
 
 A transform stream keeps the window of its last cell, one tuple replaced
 whole (threads see one or the other): s or the top column, and (Δs, R)
@@ -207,42 +208,20 @@ def _eliminated(below: tuple, above: tuple) -> tuple:
     return _row(tuple(_eliminate(a[c], b[c], a[1], b[1]) for c in range(len(a)) if c != 1))
 
 
-def _pivots_nonzero(i: int, ws: list[int], text: bool) -> bool:
-    """True when every pivot of cell i's elimination table is nonzero.
-
-    ws[x - i] is 1/R[x] (text) or R[x] (code) times one common positive
-    integer, for x = i..i+k. Level m of the table has no zero pivot
-    exactly when Q_m(x) != 0 for x = i..i+k-m, where Q_1 = Δws and, for
-    m >= 2, Q_m is ΔQ_{m-1} (code) or, with n = x + 1, the recursive
-    Levin scheme of Fessler, Ford and Smith (text):
-    Q_m(x) = (n + m)·Q_{m-1}(x + 1) - n·Q_{m-1}(x) = Δᵐ[n^(m-1)·ws](x).
-    """
-    q = ws
-    for m in range(1, len(ws)):
-        if text and m > 1:
-            q = [(x + 1 + m) * b - (x + 1) * a for x, a, b in zip(range(i, i + len(q)), q, q[1:])]
-        else:
-            q = [b - a for a, b in zip(q, q[1:])]
-        if not all(q):
-            return False
-    return True
-
-
 def _closed_form(i: int, r_win: tuple, t_win: tuple, text: bool, dt=None) -> Fraction | None:
     """Cell i of level k = len(r_win) - 1 by `_weighted_ratio`, or None.
 
     Text: w = 1/R, n0 = i + 1; code: w = R, no power of n; t is the top
     column on R[i..i+k]'s window, and dt its k differences (or None). None
-    where a cell of the window is undefined, R is 0, or a pivot is 0
-    (`_pivots_nonzero`): the table computes those cells.
+    where a cell of the window is undefined, R is 0, or the ratio's
+    denominator is 0: the table computes those cells.
     """
     if first_undefined(*r_win, *t_win) or not all(r_win):
         return None
     ws = _reciprocals(r_win) if text else _row(r_win)[1]
-    if not _pivots_nonzero(i, ws, text):
-        return None
     dt = dt or [b - a for a, b in zip(t_win, t_win[1:])]
-    return _weighted_ratio(ws, t_win[0], dt, i + 1 if text else None)
+    value = _weighted_ratio(ws, t_win[0], dt, i + 1 if text else None)
+    return None if isinstance(value, Undefined) else value
 
 
 def _weighted_ratio(ws: list[int], t0: Fraction, dt: tuple, n0: int | None) -> Element:
@@ -270,8 +249,8 @@ def _table(kind: Kind, k: int, s: NumStream, convention: GConvention, j=None) ->
     """Level k of the E-algorithm table; the top column is s, or g(0, j).
 
     Output cell i reads R[i..i+k] and the top column there (its window), then
-    takes its closed form (`_closed_form`) when all of its pivots are
-    nonzero, and the table otherwise. The row at level m and index x
+    takes its closed form (`_closed_form`) wherever that determinant ratio
+    is defined, and the table otherwise. The row at level m and index x
     holds cell x of the top column and of g(m, m+1), ..., g(m, k); its
     second entry is the pivot that level m + 1 eliminates. Level 0 is
     built from the window the cell read; row x at level m >= 1 comes

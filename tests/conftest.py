@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from seqaccel import NumStream, Undefined, is_defined
 
 
@@ -27,6 +28,26 @@ def assert_stream_equals(stream: NumStream, expected: list) -> None:
 def stream_cells(stream: NumStream, n: int) -> list:
     """First n cells with Undefined collapsed to None (for oracle compare)."""
     return [None if isinstance(c, Undefined) else c for c in stream.prefix(n)]
+
+
+def ealg_oracle(kind: str, k: int, values: list, convention: str, j=None, tally=None) -> list:
+    """Cells of e_algorithm, or of g_algorithm for column j, by the list oracles.
+
+    A cell is the recursion's (`oracles.ealg_list` or `galg_list`) where
+    that is defined, and otherwise `oracles.ealg_ratio_list`'s, which is
+    then defined only where an intermediate pivot vanishes in a fully
+    defined window with no zero R. `tally` counts the cells each defines.
+    """
+    if j is None:
+        cells = oracles.ealg_list(kind, k, values, convention)
+    else:
+        cells = oracles.galg_list(kind, k, j, values, convention)
+    ratio = oracles.ealg_ratio_list(kind, k, values, convention, j) if k else cells
+    out = [a if a is not None else b for a, b in zip(cells, ratio)]
+    if tally is not None:
+        tally.update("recursion" if a is not None else "ratio" for a, b in zip(cells, out)
+                     if b is not None)
+    return out
 
 
 def random_fraction(rng: random.Random, span: int = 9) -> Fraction:

@@ -88,6 +88,50 @@ def ealg_list(kind, k, s, convention):
     )
 
 
+def solve(rows):
+    """x with rows[r][:-1]·x = rows[r][-1] for a square augmented system, or None if singular.
+
+    Gaussian elimination in Fractions with row pivoting: each column takes
+    the first row at or below the diagonal with a nonzero entry.
+    """
+    a = [list(row) for row in rows]
+    size = len(a)
+    for c in range(size):
+        p = next((r for r in range(c, size) if a[r][c] != 0), None)
+        if p is None:
+            return None
+        a[c], a[p] = a[p], a[c]
+        for r in range(c + 1, size):
+            f = a[r][c] / a[c][c]
+            a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    x = [Fraction(0)] * size
+    for c in reversed(range(size)):
+        x[c] = (a[c][size] - sum(a[c][m] * x[m] for m in range(c + 1, size))) / a[c][c]
+    return x
+
+
+def ealg_ratio_list(kind, k, values, convention, j=None):
+    """Order-k E-algorithm cells (k >= 1) as the solution of the model system.
+
+    Cell i is E of t[x] = E + Σ_c a_c·g(0, c)[x] over c = 1..k, for
+    x = i..i+k, with t = s (or g(0, j) when j is given): Brezinski's ratio
+    of determinants, without the recursion. None where the window holds an
+    undefined cell, R is 0 in it, or the system is singular.
+    """
+    r = remainder_list(kind, values)
+    g = {c: g0_list(kind, c, values, convention) for c in range(1, k + 1)}
+    t = values if j is None else g0_list(kind, j, values, convention)
+    out = []
+    for i in range(len(r) - k):
+        xs = range(i, i + k + 1)
+        if any(r[x] is None or r[x] == 0 or t[x] is None for x in xs):
+            out.append(None)
+            continue
+        solution = solve([[Fraction(1)] + [g[c][x] for c in range(1, k + 1)] + [t[x]] for x in xs])
+        out.append(None if solution is None else solution[0])
+    return out
+
+
 def aitken_list(s):
     out = []
     for i in range(len(s) - 2):

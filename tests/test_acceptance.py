@@ -7,6 +7,7 @@ significant digits (ties-to-even), which our measured margins clear by
 several extra digits.
 """
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -36,7 +37,7 @@ from seqaccel import (
 )
 
 import oracles
-from conftest import nondegenerate_stream_values, random_stream_values, stream_cells
+from conftest import ealg_oracle, nondegenerate_stream_values, random_stream_values, stream_cells
 
 F = Fraction
 KINDS = [Kind.T, Kind.U, Kind.V]
@@ -227,8 +228,10 @@ def test_criterion_7_exactness_on_model():
 
 
 def test_criterion_8_brute_force_oracle_equivalence():
+    # A cell equals the memoization-free recursion where that is defined,
+    # and the determinant ratio where only an intermediate pivot vanishes.
     rng = random.Random(800)
-    combos = 0
+    combos, tally = 0, Counter()
     for length in range(1, 9):
         for _ in range(15):
             values = random_stream_values(rng, length, span=6)
@@ -236,18 +239,20 @@ def test_criterion_8_brute_force_oracle_equivalence():
             for kind in KINDS:
                 for conv in CONVENTIONS:
                     for k in range(0, 4):
-                        want = oracles.ealg_list(kind.value, k, values, conv.value)
+                        want = ealg_oracle(kind.value, k, values, conv.value, tally=tally)
                         got = e_algorithm(kind, k, s, conv)
                         assert (got.length or 0) == len(want)
                         assert stream_cells(got, len(want)) == want
                         for j in (1, 2, 3):
-                            want_g = oracles.galg_list(kind.value, k, j, values, conv.value)
+                            want_g = ealg_oracle(kind.value, k, values, conv.value, j, tally)
                             got_g = g_algorithm(kind, k, j, s, conv)
                             assert (got_g.length or 0) == len(want_g)
                             assert stream_cells(got_g, len(want_g)) == want_g
                         combos += 1
+    assert tally["recursion"] > 0 and tally["ratio"] > 0, tally
     report(8, True, f"{combos} stream/kind/convention/order combinations match the "
-                    "memoization-free recursion exactly")
+                    f"memoization-free recursion exactly ({tally['recursion']} cells), and "
+                    f"the determinant ratio where only a pivot vanishes ({tally['ratio']})")
 
 
 def test_criterion_9_convergence_improvement():

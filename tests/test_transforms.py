@@ -8,7 +8,7 @@ from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from seqaccel import (
     AtIndex,
@@ -38,6 +38,7 @@ from seqaccel import transforms
 import oracles
 from conftest import (
     assert_stream_equals,
+    ealg_oracle,
     nondegenerate_stream_values,
     random_stream_values,
     stream_cells,
@@ -294,8 +295,10 @@ class TestEAlgorithm:
                 return P(tokens[token[2:-1]])
             return tokens[token] if token in tokens else F(token)
 
+        # Each line is also the list oracles' (`ealg_oracle`): the recursion
+        # where it is defined, the determinant ratio where only a pivot vanishes.
         lines = Path(__file__).with_name("ealg_cells_with_causes.txt").read_text().splitlines()
-        checked = 0
+        checked, tally = 0, Counter()
         for line in lines:
             if line.startswith("#"):
                 continue
@@ -305,14 +308,22 @@ class TestEAlgorithm:
             s = from_values(MIXED_CAUSES[name])
             out = (e_algorithm(kind, k, s, conv) if family == "e"
                    else g_algorithm(kind, k, k + 1, s, conv))
-            assert out.to_list() == [cell(c) for c in cells.split()], line
+            want = [cell(c) for c in cells.split()]
+            assert out.to_list() == want, line
+            plain = [None if isinstance(v, Undefined) else F(v) for v in MIXED_CAUSES[name]]
+            j = None if family == "e" else k + 1
+            assert [None if isinstance(c, Undefined) else c for c in want] == ealg_oracle(
+                kind.value, k, plain, conv.value, j, tally), line
             checked += 1
         assert checked == 2 * 3 * 3 * 2 * 5
+        assert tally["recursion"] > 0 and tally["ratio"] > 0, tally
 
     def test_high_orders_match_oracle_on_both_paths(self, monkeypatch):
         # Values from a span of 2 repeat often, so pivots vanish (P = 0) on
-        # fully defined rows, at level 1 and higher up. Rows then take the
-        # integer elimination (one gcd each) and the `_eliminate` fallback.
+        # fully defined rows, at level 1 and higher up. Cells with a zero R
+        # or a zero denominator take the table, whose rows take the integer
+        # elimination (one gcd each) and the `_eliminate` fallback; cells
+        # where only a pivot vanishes are the determinant ratio.
         calls = Counter()
 
         def counted(name, fn):
@@ -324,13 +335,13 @@ class TestEAlgorithm:
         monkeypatch.setattr(transforms, "gcd", counted("integer", transforms.gcd))
         monkeypatch.setattr(transforms, "_eliminate", counted("fallback", transforms._eliminate))
         rng = random.Random(3)
-        above_level_one = 0
+        above_level_one, tally = 0, Counter()
         for _ in range(16):
             values = random_stream_values(rng, rng.randint(9, 13), span=2)
             s = from_values(values)
             kind, conv, k = rng.choice(KINDS), rng.choice(CONVENTIONS), rng.randint(6, 10)
             fallbacks = calls["fallback"]
-            want = oracles.ealg_list(kind_code(kind), k, values, conv.value)
+            want = ealg_oracle(kind_code(kind), k, values, conv.value, tally=tally)
             assert stream_cells(e_algorithm(kind, k, s, conv), len(want)) == want
             if kind is not Kind.V and conv is GConvention.TEXT and calls["fallback"] > fallbacks:
                 # Level 0 is fully defined here, and order 1 meets the same
@@ -340,10 +351,11 @@ class TestEAlgorithm:
                 e_algorithm(kind, 1, s, conv).to_list()
                 above_level_one += calls["fallback"] == fallbacks
             j = rng.randint(1, k + 1)
-            want = oracles.galg_list(kind_code(kind), k, j, values, conv.value)
+            want = ealg_oracle(kind_code(kind), k, values, conv.value, j, tally)
             assert stream_cells(g_algorithm(kind, k, j, s, conv), len(want)) == want
         assert calls["integer"] > 0 and calls["fallback"] > 0
         assert above_level_one > 0
+        assert tally["recursion"] > 0 and tally["ratio"] > 0, tally
 
 
 def _count_paths(monkeypatch) -> Counter:
@@ -374,32 +386,19 @@ class _CountedReads(NumStream):
         return super().at(i)
 
 
-def _exact_pivots_nonzero(i: int, r_win: list, conv: GConvention) -> bool:
-    """Every pivot Δg(m-1, m) of cell i's table, eliminated in Fractions, is nonzero."""
-    xs = range(i, i + len(r_win))
-    columns = [[r * F(x + 1) ** (1 - c) if conv is GConvention.TEXT else F(x + 1) ** (c - 1) / r
-                for x, r in zip(xs, r_win)] for c in range(1, len(r_win))]
-    while columns:
-        b = columns[0]
-        db = [b1 - b0 for b0, b1 in zip(b, b[1:])]
-        if not all(db):
-            return False
-        columns = [[a0 - b0 * (a1 - a0) / d for a0, a1, b0, d in zip(a, a[1:], b, db)]
-                   for a in columns[1:]]
-    return True
-
-
 class TestClosedForm:
-    """A cell whose pivots are all nonzero takes one weighted sum; the rest take the table."""
+    """A cell whose ratio is defined takes one weighted sum; the rest take the table."""
 
     UNDEFINED = [DZ, ZZ, OOR, P(DZ), P(ZZ), P(OOR)]
 
     def test_matches_oracle_and_table_on_degenerate_streams(self, monkeypatch):
         # Small spans give zeros, repeats and zero pivots; undefined cells of
         # every reason and cause are mixed in. Each cell is read on a fresh
-        # pipeline, once as it is and once with the table alone, and the
-        # two must agree on value, reason, cause and the input cells forced.
-        served = _count_paths(monkeypatch)
+        # pipeline, once as it is and once with the table alone. The two
+        # force the same input cells and agree on the length; they agree on
+        # value, reason and cause too, except where the table alone meets a
+        # zero pivot and the ratio (`oracles.ealg_ratio_list`) is defined.
+        served, cells = _count_paths(monkeypatch), Counter()
         rng = random.Random(1010)
         for _ in range(80):
             k = rng.randint(1, 9)
@@ -407,6 +406,7 @@ class TestClosedForm:
             for x in rng.sample(range(len(values)), rng.choice([0, 0, 1, 2])):
                 values[x] = rng.choice(self.UNDEFINED)
             kind, conv, j = rng.choice(KINDS), rng.choice(CONVENTIONS), rng.randint(1, k + 2)
+            plain = [None if isinstance(v, Undefined) else v for v in values]
 
             def read(build, i: int, table_only: bool):
                 forced = []
@@ -416,18 +416,26 @@ class TestClosedForm:
                         m.setattr(transforms, "_closed_form", lambda *args: None)
                     return out.length, out.at(i), forced
 
-            for build in (lambda s: e_algorithm(kind, k, s, conv),
-                          lambda s: g_algorithm(kind, k, j, s, conv)):
+            for build, column in ((lambda s: e_algorithm(kind, k, s, conv), None),
+                                  (lambda s: g_algorithm(kind, k, j, s, conv), j)):
+                ratio = oracles.ealg_ratio_list(kind_code(kind), k, plain, conv.value, column)
                 for i in range(len(values) - k + 1):
-                    assert read(build, i, False) == read(build, i, True), (
-                        values, kind, conv, k, j, i)
-            plain = [None if isinstance(v, Undefined) else v for v in values]
-            want = oracles.ealg_list(kind_code(kind), k, plain, conv.value)
+                    (n, got, forced), (table_n, table, table_forced) = (
+                        read(build, i, False), read(build, i, True))
+                    assert (n, forced) == (table_n, table_forced), (values, kind, conv, k, j, i)
+                    if is_defined(table) or i >= len(ratio) or ratio[i] is None:
+                        assert got == table, (values, kind, conv, k, j, i)
+                        cells["table" if is_defined(table) else "undefined"] += 1
+                    else:
+                        assert got == ratio[i], (values, kind, conv, k, j, i)
+                        cells["ratio"] += 1
+            want = ealg_oracle(kind_code(kind), k, plain, conv.value, tally=cells)
             assert stream_cells(e_algorithm(kind, k, from_values(values), conv), len(want)) == want
-            want = oracles.galg_list(kind_code(kind), k, j, plain, conv.value)
+            want = ealg_oracle(kind_code(kind), k, plain, conv.value, j, cells)
             got = stream_cells(g_algorithm(kind, k, j, from_values(values), conv), len(want))
             assert got == want, (values, kind, conv, k, j)
         assert served["closed"] > 100 and served["table"] > 100, served
+        assert cells["recursion"] > 0 and cells["ratio"] > 0, cells
 
     def test_nondegenerate_cell_skips_the_table(self, monkeypatch):
         calls = Counter()
@@ -446,23 +454,6 @@ class TestClosedForm:
             w = (-1) ** (k - j) * comb(k, j) * F(j + 1) ** (k - 1) / r.at(j)
             num, den = num + w * values[j], den + w
         assert cell == num / den
-
-    def test_check_passes_exactly_where_no_pivot_vanishes(self):
-        # R windows from a small span at orders 1-12 and cells up to 40:
-        # about two in three make a pivot zero.
-        rng = random.Random(4000)
-        outcomes = Counter()
-        for _ in range(4000):
-            k, i = rng.randint(1, 12), rng.randint(0, 40)
-            span = rng.choice([1, 2, 3])
-            r_win = [F(rng.choice([-1, 1]) * rng.randint(1, span), rng.randint(1, span))
-                     for _ in range(k + 1)]
-            conv = rng.choice(CONVENTIONS)
-            passed = transforms._closed_form(i, r_win, [F(1)] * (k + 1),
-                                             conv is GConvention.TEXT) is not None
-            assert passed == _exact_pivots_nonzero(i, r_win, conv), (i, r_win, conv)
-            outcomes[passed] += 1
-        assert outcomes[False] > 1000 and outcomes[True] > 1000, outcomes
 
     def test_table_cell_reads_its_window_once(self, monkeypatch):
         # A cell that takes the table builds its level-0 rows from the window
@@ -486,7 +477,7 @@ class TestClosedForm:
         base = [F(1, x * x + 3) for x in range(12)]
         zero_r = base[:2] + base[1:11]
         undefined = base[:1] + [DZ] + base[2:]
-        zero_pivot = [F(x) for x in range(12)]  # kind t: R is constant
+        zero_pivot = [F(x) for x in range(12)]  # kind t: R is constant, so the denominator is 0
         cases = [(v, kind) for v in (zero_r, undefined) for kind in KINDS]
         for values, kind in cases + [(zero_pivot, Kind.T)]:
             for conv, k in [(conv, k) for conv in CONVENTIONS for k in (1, 3, 8)]:
@@ -507,25 +498,48 @@ class TestClosedForm:
 
 
 def _window_cases():
-    """(name, k, build, oracle) for each transform, kind, convention and order k = 0-12."""
+    """(name, k, build, oracle, ratio_kind) per transform, kind, convention and order 0-12.
+
+    `oracle(values, tally)` gives the cells. `ratio_kind` is the kind of
+    an E-algorithm case of order k >= 2, where a vanishing pivot can leave
+    the ratio defined, and None for the others.
+    """
     for k in range(13):
         for kind in KINDS:
             code = kind_code(kind)
             levin_oracle = (
-                (lambda v: v) if k == 0 else
-                (lambda v, code=code: oracles.levin1_list(code, v)) if k == 1 else
-                (lambda v, code=code, k=k: oracles.levin_product_list(code, k, v)))
-            yield f"levin-{code}{k}", k, lambda s, kind=kind, k=k: levin(kind, k, s), levin_oracle
+                (lambda v, _: v) if k == 0 else
+                (lambda v, _, code=code: oracles.levin1_list(code, v)) if k == 1 else
+                (lambda v, _, code=code, k=k: oracles.levin_product_list(code, k, v)))
+            yield (f"levin-{code}{k}", k, lambda s, kind=kind, k=k: levin(kind, k, s),
+                   levin_oracle, None)
+            ratio_kind = kind if k >= 2 else None
             for conv in CONVENTIONS:
                 yield (f"ealg-{code}{k}-{conv.value}", k,
                        lambda s, kind=kind, k=k, conv=conv: e_algorithm(kind, k, s, conv),
-                       lambda v, code=code, k=k, conv=conv:
-                       oracles.ealg_list(code, k, v, conv.value))
+                       lambda v, tally, code=code, k=k, conv=conv:
+                       ealg_oracle(code, k, v, conv.value, tally=tally), ratio_kind)
                 j = k % 3 + 1
                 yield (f"galg-{code}{k}-{conv.value}-j{j}", k,
                        lambda s, kind=kind, k=k, j=j, conv=conv: g_algorithm(kind, k, j, s, conv),
-                       lambda v, code=code, k=k, j=j, conv=conv:
-                       oracles.galg_list(code, k, j, v, conv.value))
+                       lambda v, tally, code=code, k=k, j=j, conv=conv:
+                       ealg_oracle(code, k, v, conv.value, j, tally), ratio_kind)
+
+
+def _zero_pivot_values(rng: random.Random, kind: Kind, n: int) -> list[Fraction]:
+    """n random values whose R has no zero, with R[0] = R[1]: a level-1 pivot of cell 0 is 0."""
+    while True:
+        values = random_stream_values(rng, n, 9)
+        a, b = values[1] - values[0], values[2] - values[1]
+        if kind is Kind.T:
+            values[2] = values[1] + a
+        elif kind is Kind.U:
+            values[2] = values[1] + a / 2
+        elif 2 * a != b:  # kind v: R[0] = ab/(b - a) = bc/(c - b) for the next Δs c
+            values[3] = values[2] + a * b / (2 * a - b)
+        r = oracles.remainder_list(kind_code(kind), values)
+        if r[0] == r[1] and all(r):
+            return values
 
 
 def _read_orders(rng: random.Random, n: int) -> dict[str, list[int]]:
@@ -540,12 +554,15 @@ class TestSlidingWindow:
 
     UNDEFINED = [DZ, ZZ, OOR, P(DZ), P(ZZ), P(OOR)]
 
-    @pytest.mark.parametrize("name,k,build,oracle", list(_window_cases()),
+    @pytest.mark.parametrize("name,k,build,oracle,ratio_kind", list(_window_cases()),
                              ids=[case[0] for case in _window_cases()])
-    def test_any_read_order_gives_fresh_cells(self, monkeypatch, name, k, build, oracle):
+    def test_any_read_order_gives_fresh_cells(self, monkeypatch, name, k, build, oracle,
+                                              ratio_kind):
         # Small spans give zeros and repeats; every reason of Undefined is
-        # mixed in. Each cell of a fresh stream is read alone, then every
-        # cell of one stream in each order; both match the list oracle.
+        # mixed in, and for the E-algorithm from order 2 one more stream has
+        # a zero pivot at level 1. Each cell of a fresh stream is read alone,
+        # then every cell of one stream in each order; both match the list
+        # oracle, which has cells of the recursion and (`ratio_kind`) of the ratio.
         plain, memo = oracles.galg_list, {}
 
         def galg_list(*args):  # the oracle's recursion, evaluated once per argument
@@ -556,26 +573,32 @@ class TestSlidingWindow:
 
         monkeypatch.setattr(oracles, "galg_list", galg_list)
         rng = random.Random(name)
-        for span in (1, 3, 9):
-            values = random_stream_values(rng, k + rng.randint(3, 10), span)
-            for x in rng.sample(range(len(values)), rng.choice([0, 1, 2])):
-                values[x] = rng.choice(self.UNDEFINED)
+        tally = Counter()
+        for span in (1, 3, 9) + ((None,) if ratio_kind else ()):
+            if span is None:
+                values = _zero_pivot_values(rng, ratio_kind, k + rng.randint(4, 10))
+            else:
+                values = random_stream_values(rng, k + rng.randint(3, 10), span)
+                for x in rng.sample(range(len(values)), rng.choice([0, 1, 2])):
+                    values[x] = rng.choice(self.UNDEFINED)
             n = build(from_values(values)).length
             fresh = [build(from_values(values)).at(i) for i in range(n)]
-            want = oracle([None if isinstance(v, Undefined) else F(v) for v in values])
+            want = oracle([None if isinstance(v, Undefined) else F(v) for v in values], tally)
             assert [None if isinstance(c, Undefined) else c for c in fresh] == want[:n], values
             for order, idx in _read_orders(rng, n).items():
                 out = build(from_values(values))
                 got = {i: out.at(i) for i in idx}
                 assert [got[i] for i in range(n)] == fresh, (values, order)
                 assert all(repr(got[i]) == repr(fresh[i]) for i in range(n))  # reason and cause
+        if ratio_kind:
+            assert tally["recursion"] > 0 and tally["ratio"] > 0, tally
 
     @pytest.mark.parametrize("k", [2, 5, 12])
     def test_concurrent_readers_in_every_order(self, k):
         rng = random.Random(k)
         values = random_stream_values(rng, 40, 3)
         values[7], values[23] = DZ, P(ZZ)
-        for name, order, build, _ in _window_cases():
+        for name, order, build, _, _ in _window_cases():
             if order != k:
                 continue
             n = build(from_values(values)).length
@@ -663,6 +686,53 @@ class TestSharedTable:
         assert sorted(seen) == list(range(8))
         for cells in seen.values():
             assert cells == want
+
+
+def _kernel_values(kind: Kind, limit: Fraction, s0: Fraction, p: list, count: int) -> list:
+    """s with s[x + 1] = s[x] + (s[x] - L)/P(n), n = x + 1; kind u divides by n·P(n).
+
+    P(n) = Σ p[c]/n^c: then s - L = R·P(n), the model of the E-algorithm of
+    order len(p) under `text`, with R = Δs (t) or n·Δs (u).
+    """
+    s = [s0]
+    for n in range(1, count):
+        step = sum(c / F(n) ** e for e, c in enumerate(p)) * (n if kind is Kind.U else 1)
+        s.append(s[-1] + (s[-1] - limit) / step)
+    return s
+
+
+class TestKernelSequences:
+    """The E-algorithm (`text`) gives L exactly on sequences of its own model."""
+
+    def test_kind_u_order_two_is_exact_where_a_pivot_vanishes(self):
+        # s - 7/3 = R·(3 - 5/n): the table alone meets a zero pivot at cells 2 and 3.
+        s = _kernel_values(Kind.U, F(7, 3), F(1), [F(3), F(-5)], 12)
+        assert s[1] == 1 + (1 - F(7, 3)) / -2  # s[x + 1] = s[x] + (s[x] - 7/3)/(3x - 2)
+        out = e_algorithm(Kind.U, 2, from_values(s), GConvention.TEXT)
+        assert out.to_list() == [F(7, 3)] * out.length
+
+    @given(kind=st.sampled_from([Kind.T, Kind.U]), k=st.integers(1, 4), limit=small_rationals,
+           s0=small_rationals, p=st.lists(small_rationals, min_size=4, max_size=4))
+    def test_every_defined_cell_is_the_limit(self, kind, k, limit, s0, p):
+        # P has degree k - 1 in 1/n and no root at the n used. Where the
+        # system is singular with no zero R (kind u, k = 2, P = 1 + b/n makes
+        # s - L linear in n), the window fits more than one limit: the table
+        # gives the recursion's cell there.
+        p = p[:k]
+        assume(p[-1] != 0)
+        assume(all(sum(c / F(n) ** e for e, c in enumerate(p)) for n in range(1, k + 8)))
+        s = _kernel_values(kind, limit, s0, p, k + 8)
+        r = oracles.remainder_list(kind_code(kind), s)
+        ratio = oracles.ealg_ratio_list(kind_code(kind), k, s, "text")
+        recursion = oracles.ealg_list(kind_code(kind), k, s, "text")
+        for i, cell in enumerate(e_algorithm(kind, k, from_values(s)).to_list()):
+            zero_r = 0 in r[i:i + k + 1]
+            if not is_defined(cell):  # a zero R, or a singular system: a zero denominator
+                assert zero_r or ratio[i] is None, (i, s)
+            elif zero_r or ratio[i] is not None:
+                assert cell == limit, (i, s)
+            else:
+                assert cell == recursion[i], (i, s)
 
 
 class TestAitken:
