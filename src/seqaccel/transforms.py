@@ -33,14 +33,12 @@ reads R[i..i+k] and t there; if all are defined, R has no zero and the
 ratio's denominator is nonzero, the kernel computes the cell. The
 recursive table gives the same value wherever none of its pivots is
 zero; where an intermediate pivot vanishes but the ratio exists, the
-cell is the ratio. Every other cell (an undefined cell in the window, a
-zero R or a zero denominator) is computed by the table from the window
-it read; the table stores a fully defined row as integer numerators
-over one common denominator: one elimination is two integer products
-per column and one gcd per row. A row with an undefined cell, and an
-elimination whose pivot difference is zero, go cell by cell through the
-one elimination step above, which alone holds the rules for degenerate
-cells. Both routes read the same window, once.
+cell is the ratio. The table is the route for degenerate windows only
+(an undefined cell, a zero R or a zero denominator): it builds its first
+level from the window the cell read, and every cell above that comes
+from the one elimination step above. Where the window's system is
+singular, a defined cell is one limit that the window fits. Both routes
+read the same window, once.
 
 A transform stream keeps the window of its last cell, one tuple replaced
 whole (threads see one or the other): s or the top column, and (Δs, R)
@@ -53,7 +51,7 @@ from __future__ import annotations
 from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, lcm
 
 from .scalars import (
     Element,
@@ -166,46 +164,10 @@ def _eliminate(a0: Element, a1: Element, b0: Element, b1: Element) -> Element:
     return a0 - b0 * da / db
 
 
-def _row(cells: tuple[Element, ...]) -> tuple:
-    """A row as (d, n): cell c is n[c]/d for integers d != 0 and n[c].
-
-    A row with an undefined cell keeps its cells as they are: (None, cells).
-    """
-    if first_undefined(*cells):
-        return None, cells
-    d = lcm(*(c.denominator for c in cells))
-    return d, tuple(c.numerator * (d // c.denominator) for c in cells)
-
-
-def _cells(row: tuple) -> tuple[Element, ...]:
-    d, n = row
-    return n if d is None else tuple(Fraction(v, d) for v in n)
-
-
 def _reciprocals(cells: list) -> list[int]:
     """1/c for each nonzero rational c, times one common integer v > 0."""
     v = lcm(*(c.numerator for c in cells))
     return [c.denominator * (v // c.numerator) for c in cells]
-
-
-def _eliminated(below: tuple, above: tuple) -> tuple:
-    """Row x at level m + 1 from rows x and x + 1 at level m; pivot column 1.
-
-    On integer rows, a0 - b0·Δa/Δb is (n0[c]·n1[1] - n0[1]·n1[c]) / P in
-    every column c != 1, with P = n1[1]·d0 - n0[1]·d1 = Δb·d0·d1; where
-    Δa = 0 that is a0, as the short-circuit rule wants. A row with an
-    undefined cell, or P = 0, goes through `_eliminate` cell by cell.
-    """
-    (d0, n0), (d1, n1) = below, above
-    if d0 is not None and d1 is not None:
-        b0, b1 = n0[1], n1[1]
-        pivot = b1 * d0 - b0 * d1
-        if pivot:
-            n = [a0 * b1 - b0 * a1 for c, (a0, a1) in enumerate(zip(n0, n1)) if c != 1]
-            g = gcd(pivot, *n)
-            return pivot // g, tuple(v // g for v in n)
-    a, b = _cells(below), _cells(above)
-    return _row(tuple(_eliminate(a[c], b[c], a[1], b[1]) for c in range(len(a)) if c != 1))
 
 
 def _closed_form(i: int, r_win: tuple, t_win: tuple, text: bool, dt=None) -> Fraction | None:
@@ -218,7 +180,11 @@ def _closed_form(i: int, r_win: tuple, t_win: tuple, text: bool, dt=None) -> Fra
     """
     if first_undefined(*r_win, *t_win) or not all(r_win):
         return None
-    ws = _reciprocals(r_win) if text else _row(r_win)[1]
+    if text:
+        ws = _reciprocals(r_win)  # 1/R
+    else:  # R, times the lcm of its denominators
+        d = lcm(*(c.denominator for c in r_win))
+        ws = [c.numerator * (d // c.denominator) for c in r_win]
     dt = dt or [b - a for a, b in zip(t_win, t_win[1:])]
     value = _weighted_ratio(ws, t_win[0], dt, i + 1 if text else None)
     return None if isinstance(value, Undefined) else value
@@ -250,15 +216,13 @@ def _table(kind: Kind, k: int, s: NumStream, convention: GConvention, j=None) ->
 
     Output cell i reads R[i..i+k] and the top column there (its window), then
     takes its closed form (`_closed_form`) wherever that determinant ratio
-    is defined, and the table otherwise. The row at level m and index x
-    holds cell x of the top column and of g(m, m+1), ..., g(m, k); its
-    second entry is the pivot that level m + 1 eliminates. Level 0 is
-    built from the window the cell read; row x at level m >= 1 comes
-    from rows x and x+1 at level m - 1, so a table cell i fills the
-    missing rows i..i+k-m of each level m, bottom-up. A fully defined
-    row is stored as integers over one common denominator (`_row`), so
-    an elimination costs one gcd per row; only rows with an undefined
-    cell, and zero pivots, take `_eliminate`.
+    is defined, and the table otherwise: a window with an undefined cell,
+    a zero R or a zero denominator. The row at level m and index x holds
+    cell x of the top column and of g(m, m+1), ..., g(m, k); its second
+    entry is the pivot that level m + 1 eliminates. Level 0 is built from
+    the window the cell read; row x at level m >= 1 takes `_eliminate` on
+    each column of rows x and x+1 at level m - 1, so a table cell i fills
+    the missing rows i..i+k-m of each level m, bottom-up.
     """
     remainder = _remainders(kind, forward_difference(s))
     text = convention is GConvention.TEXT
@@ -279,15 +243,16 @@ def _table(kind: Kind, k: int, s: NumStream, convention: GConvention, j=None) ->
                 return value
         for x, rx, tx in zip(range(i, i + k + 1), r_win, t_win):
             if x not in rows[0]:  # rows are deterministic: write-once suffices
-                rows[0].setdefault(x, _row((tx, *(_weight(c, x, rx, convention)
-                                                  for c in range(1, k + 1)))))
+                rows[0].setdefault(x, (tx, *(_weight(c, x, rx, convention)
+                                             for c in range(1, k + 1))))
         for m in range(1, k + 1):
             below, level = rows[m - 1], rows[m]
             for x in range(i, i + k - m + 1):
                 if x not in level:
-                    level.setdefault(x, _eliminated(below[x], below[x + 1]))
-        d, n = rows[k][i]
-        return n[0] if d is None else Fraction(n[0], d)
+                    a, b = below[x], below[x + 1]
+                    level.setdefault(x, tuple(_eliminate(a[c], b[c], a[1], b[1])
+                                              for c in range(len(a)) if c != 1))
+        return rows[k][i][0]
 
     return NumStream(compute, _extent(kind, s, k))
 

@@ -110,6 +110,22 @@ def solve(rows):
     return x
 
 
+def rank(rows):
+    """The rank of a matrix of Fractions, by Gaussian elimination with exact pivots."""
+    a = [list(row) for row in rows]
+    found = 0
+    for c in range(len(a[0]) if a else 0):
+        p = next((r for r in range(found, len(a)) if a[r][c] != 0), None)
+        if p is None:
+            continue
+        a[found], a[p] = a[p], a[found]
+        for r in range(found + 1, len(a)):
+            f = a[r][c] / a[found][c]
+            a[r] = [x - f * y for x, y in zip(a[r], a[found])]
+        found += 1
+    return found
+
+
 def ealg_ratio_list(kind, k, values, convention, j=None):
     """Order-k E-algorithm cells (k >= 1) as the solution of the model system.
 

@@ -319,41 +319,40 @@ class TestEAlgorithm:
         assert tally["recursion"] > 0 and tally["ratio"] > 0, tally
 
     def test_high_orders_match_oracle_on_both_paths(self, monkeypatch):
-        # Values from a span of 2 repeat often, so pivots vanish (P = 0) on
-        # fully defined rows, at level 1 and higher up. Cells with a zero R
-        # or a zero denominator take the table, whose rows take the integer
-        # elimination (one gcd each) and the `_eliminate` fallback; cells
-        # where only a pivot vanishes are the determinant ratio.
-        calls = Counter()
+        # Values from a span of 2 repeat often, so pivots vanish on fully
+        # defined rows, at level 1 and higher up. Cells with a zero R or a
+        # zero denominator take the table, whose rows come from `_eliminate`
+        # alone, zero pivots included; cells where only a pivot vanishes are
+        # the determinant ratio.
+        served, calls = _count_paths(monkeypatch), Counter()
+        eliminate = transforms._eliminate
 
-        def counted(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapper
+        def counted(a0, a1, b0, b1):
+            calls["zero pivot"] += is_defined(b0) and is_defined(b1) and b0 == b1
+            return eliminate(a0, a1, b0, b1)
 
-        monkeypatch.setattr(transforms, "gcd", counted("integer", transforms.gcd))
-        monkeypatch.setattr(transforms, "_eliminate", counted("fallback", transforms._eliminate))
+        monkeypatch.setattr(transforms, "_eliminate", counted)
         rng = random.Random(3)
         above_level_one, tally = 0, Counter()
         for _ in range(16):
             values = random_stream_values(rng, rng.randint(9, 13), span=2)
             s = from_values(values)
             kind, conv, k = rng.choice(KINDS), rng.choice(CONVENTIONS), rng.randint(6, 10)
-            fallbacks = calls["fallback"]
+            zero_pivots = calls["zero pivot"]
             want = ealg_oracle(kind_code(kind), k, values, conv.value, tally=tally)
             assert stream_cells(e_algorithm(kind, k, s, conv), len(want)) == want
-            if kind is not Kind.V and conv is GConvention.TEXT and calls["fallback"] > fallbacks:
+            if kind is not Kind.V and conv is GConvention.TEXT and calls["zero pivot"] > zero_pivots:
                 # Level 0 is fully defined here, and order 1 meets the same
-                # level-1 pivots: if it never falls back, order k fell back
-                # on a zero pivot at level 2 or above.
-                fallbacks = calls["fallback"]
+                # level-1 pivots: if it meets no zero pivot, order k met one
+                # at level 2 or above.
+                zero_pivots = calls["zero pivot"]
                 e_algorithm(kind, 1, s, conv).to_list()
-                above_level_one += calls["fallback"] == fallbacks
+                above_level_one += calls["zero pivot"] == zero_pivots
             j = rng.randint(1, k + 1)
             want = ealg_oracle(kind_code(kind), k, values, conv.value, j, tally)
             assert stream_cells(g_algorithm(kind, k, j, s, conv), len(want)) == want
-        assert calls["integer"] > 0 and calls["fallback"] > 0
+        assert served["closed"] > 0 and served["table"] > 0, served
+        assert calls["zero pivot"] > 0, calls
         assert above_level_one > 0
         assert tally["recursion"] > 0 and tally["ratio"] > 0, tally
 
@@ -439,11 +438,13 @@ class TestClosedForm:
 
     def test_nondegenerate_cell_skips_the_table(self, monkeypatch):
         calls = Counter()
-        for name in ("_eliminated", "_eliminate"):
-            def counted(*args, name=name, fn=getattr(transforms, name)):
-                calls[name] += 1
-                return fn(*args)
-            monkeypatch.setattr(transforms, name, counted)
+        eliminate = transforms._eliminate
+
+        def counted(*args):
+            calls["_eliminate"] += 1
+            return eliminate(*args)
+
+        monkeypatch.setattr(transforms, "_eliminate", counted)
         values = [F(1, i * i + 3) for i in range(64)]
         k, cell = 60, e_algorithm(Kind.V, 60, from_values(values)).at(0)
         assert not calls
@@ -688,21 +689,74 @@ class TestSharedTable:
             assert cells == want
 
 
-def _kernel_values(kind: Kind, limit: Fraction, s0: Fraction, p: list, count: int) -> list:
-    """s with s[x + 1] = s[x] + (s[x] - L)/P(n), n = x + 1; kind u divides by n·P(n).
+def _inverse_powers(p: list, n) -> Fraction:
+    """P(n) = Σ p[c]/n^c."""
+    return sum(c / F(n) ** e for e, c in enumerate(p))
 
-    P(n) = Σ p[c]/n^c: then s - L = R·P(n), the model of the E-algorithm of
-    order len(p) under `text`, with R = Δs (t) or n·Δs (u).
+
+def _model_values(kind: Kind, s0: Fraction, count: int, remainder, start: int = 0) -> list:
+    """s with R[x] = remainder(x, s[x]) for x >= start, R = Δs (t) or (x + 1)·Δs (u).
+
+    s[start] = s0, and the cells before it repeat s0.
     """
-    s = [s0]
-    for n in range(1, count):
-        step = sum(c / F(n) ** e for e, c in enumerate(p)) * (n if kind is Kind.U else 1)
-        s.append(s[-1] + (s[-1] - limit) / step)
+    s = [s0] * (start + 1)
+    for x in range(start, count - 1):
+        r = remainder(x, s[x])
+        s.append(s[x] + (r / (x + 1) if kind is Kind.U else r))
     return s
 
 
+def _kernel_values(kind: Kind, limit: Fraction, s0: Fraction, p: list, count: int) -> list:
+    """s - L = R·P(n) with n = x + 1: the E-algorithm's model under `text`, order len(p)."""
+    return _model_values(kind, s0, count, lambda x, sx: (sx - limit) / _inverse_powers(p, x + 1))
+
+
+def _fits_window(kind: Kind, k: int, values: list, conv: GConvention, i: int, cell, j=None) -> bool:
+    """Whether t - cell lies in the span of g(0, 1..k) over x = i..i+k, by exact rank.
+
+    t is s, or g(0, j): then cell is one E that solves the window's system
+    t[x] = E + Σ a_c·g(0, c)[x], singular or not.
+    """
+    xs = range(i, i + k + 1)
+    g = [oracles.g0_list(kind_code(kind), c, values, conv.value) for c in range(1, k + 1)]
+    t = values if j is None else oracles.g0_list(kind_code(kind), j, values, conv.value)
+    columns = [[col[x] for col in g] for x in xs]
+    return oracles.rank([row + [t[x] - cell] for row, x in zip(columns, xs)]) == oracles.rank(columns)
+
+
+def _assert_ealg_kernel_cells(kind: Kind, k: int, conv: GConvention, s: list, limit) -> None:
+    """Order-k cells on a model sequence s of limit L.
+
+    Where the determinant ratio is defined, e_algorithm is L and
+    g_algorithm(k, j) is 0 for 1 <= j <= k. An undefined E-algorithm cell
+    has a zero R or a singular system in its window, and a defined one
+    with a zero R is L. Where the system is singular with no zero R, the
+    window fits more than one limit: a defined cell is the recursion's
+    and is one of them.
+    """
+    r = oracles.remainder_list(kind_code(kind), s)
+    recursion = oracles.ealg_list(kind_code(kind), k, s, conv.value)
+    for j in (None, *range(1, k + 1)):
+        want = limit if j is None else 0
+        ratio = oracles.ealg_ratio_list(kind_code(kind), k, s, conv.value, j)
+        out = (e_algorithm(kind, k, from_values(s), conv) if j is None
+               else g_algorithm(kind, k, j, from_values(s), conv))
+        for i, cell in enumerate(out.to_list()):
+            zero_r = 0 in r[i:i + k + 1]
+            if ratio[i] is not None:
+                assert cell == want, (i, j, s)
+            elif j is not None:
+                assert zero_r or not is_defined(cell) or _fits_window(kind, k, s, conv, i, cell, j)
+            elif not is_defined(cell):  # a zero R, or a singular system: a zero denominator
+                continue
+            elif zero_r:
+                assert cell == limit, (i, s)
+            else:
+                assert cell == recursion[i] and _fits_window(kind, k, s, conv, i, cell), (i, s)
+
+
 class TestKernelSequences:
-    """The E-algorithm (`text`) gives L exactly on sequences of its own model."""
+    """Each transform gives L exactly on sequences of its own model."""
 
     def test_kind_u_order_two_is_exact_where_a_pivot_vanishes(self):
         # s - 7/3 = R·(3 - 5/n): the table alone meets a zero pivot at cells 2 and 3.
@@ -714,25 +768,83 @@ class TestKernelSequences:
     @given(kind=st.sampled_from([Kind.T, Kind.U]), k=st.integers(1, 4), limit=small_rationals,
            s0=small_rationals, p=st.lists(small_rationals, min_size=4, max_size=4))
     def test_every_defined_cell_is_the_limit(self, kind, k, limit, s0, p):
-        # P has degree k - 1 in 1/n and no root at the n used. Where the
-        # system is singular with no zero R (kind u, k = 2, P = 1 + b/n makes
-        # s - L linear in n), the window fits more than one limit: the table
-        # gives the recursion's cell there.
+        # `text`: s - L = R·P(n), P of degree k - 1 in 1/n with no root at
+        # the n used. Kind u, k = 2 and P = 1 + b/n make s - L linear in n:
+        # a singular system with no zero R.
         p = p[:k]
-        assume(p[-1] != 0)
-        assume(all(sum(c / F(n) ** e for e, c in enumerate(p)) for n in range(1, k + 8)))
+        assume(p[-1] != 0 and s0 != limit)
+        assume(all(_inverse_powers(p, n) for n in range(1, k + 8)))
         s = _kernel_values(kind, limit, s0, p, k + 8)
-        r = oracles.remainder_list(kind_code(kind), s)
-        ratio = oracles.ealg_ratio_list(kind_code(kind), k, s, "text")
-        recursion = oracles.ealg_list(kind_code(kind), k, s, "text")
-        for i, cell in enumerate(e_algorithm(kind, k, from_values(s)).to_list()):
-            zero_r = 0 in r[i:i + k + 1]
-            if not is_defined(cell):  # a zero R, or a singular system: a zero denominator
-                assert zero_r or ratio[i] is None, (i, s)
-            elif zero_r or ratio[i] is not None:
-                assert cell == limit, (i, s)
-            else:
-                assert cell == recursion[i], (i, s)
+        _assert_ealg_kernel_cells(kind, k, GConvention.TEXT, s, limit)
+
+    @given(kind=st.sampled_from([Kind.T, Kind.U]), k=st.integers(1, 4), limit=small_rationals,
+           s0=small_rationals, q=st.lists(small_rationals, min_size=4, max_size=4))
+    def test_code_convention_every_defined_cell_is_the_limit(self, kind, k, limit, s0, q):
+        # `code`: (s - L)·R = Q(n) with n = x + 1, Q of degree k - 1 with no
+        # root at the n used; a draw whose s reaches L has a constant tail.
+        # Each step about doubles the bit length of s, so the draws are short.
+        q = q[:k]
+        assume(q[-1] != 0 and s0 != limit)
+        assume(all(sum(c * n ** e for e, c in enumerate(q)) for n in range(1, k + 5)))
+        try:
+            s = _model_values(kind, s0, k + 5, lambda x, sx: sum(
+                c * (x + 1) ** e for e, c in enumerate(q)) / (sx - limit))
+        except ZeroDivisionError:
+            assume(False)
+        _assert_ealg_kernel_cells(kind, k, GConvention.CODE, s, limit)
+
+    @given(kind=st.sampled_from([Kind.T, Kind.U]), k=st.integers(1, 4), limit=small_rationals,
+           s0=small_rationals, p=st.lists(small_rationals, min_size=4, max_size=4))
+    def test_levin_every_defined_cell_is_the_limit(self, kind, k, limit, s0, p):
+        # s - L = R·P(1/n) with n = x, P of degree k - 1 in 1/n with no root
+        # at the n used. For k >= 2 the model starts at x = 1, and cell 0 is
+        # left out: its weight 0^(k-1) vanishes. A zero R is a cell where s
+        # is L, so a lone one gives L too.
+        p = p[:k]
+        assume(p[-1] != 0 and s0 != limit)
+        assume(all(_inverse_powers(p, n) for n in range(1, k + 8)))
+        start = int(k >= 2)
+        s = _model_values(kind, s0, k + 8, lambda x, sx: (sx - limit) / _inverse_powers(p, x),
+                          start)
+        ratio = oracles.levin_list(kind_code(kind), k, s)
+        for i, cell in enumerate(levin(kind, k, from_values(s)).to_list()[start:], start):
+            assert cell == limit if is_defined(cell) else ratio[i] is None, (i, s)
+
+    def test_singular_window_cell_is_one_limit_the_window_fits(self):
+        # s = (x + 2)/2 is the kind-u `text` model of order 2 for L = 0 with
+        # P(n) = 1 + 1/n, and it fits other limits: its system is singular
+        # with no zero R, so the ratio is 0/0. The table's cell is 1/2.
+        s = [F(x + 2, 2) for x in range(10)]
+        kind, conv = Kind.U, GConvention.TEXT
+        assert 0 not in oracles.remainder_list("u", s)
+        assert oracles.ealg_ratio_list("u", 2, s, "text") == [None] * 7
+        assert e_algorithm(kind, 2, from_values(s)).to_list() == [F(1, 2)] * 7
+        assert g_algorithm(kind, 2, 2, from_values(s)).to_list() == [F(1, 2)] * 7
+        for i in range(7):
+            assert _fits_window(kind, 2, s, conv, i, F(1, 2)) and _fits_window(kind, 2, s, conv, i, 0)
+            assert _fits_window(kind, 2, s, conv, i, F(1, 2), 2)
+        _assert_ealg_kernel_cells(kind, 2, conv, s, 0)
+
+    def test_singular_window_cells_fit_the_window(self):
+        # Small spans give singular windows with no zero R; each defined
+        # cell there must solve the window's system.
+        rng, checked = random.Random(5), Counter()
+        for _ in range(300):
+            k = rng.randint(1, 4)
+            values = random_stream_values(rng, rng.randint(k + 3, k + 8), rng.choice([1, 2, 3]))
+            kind, conv = rng.choice(KINDS), rng.choice(CONVENTIONS)
+            r = oracles.remainder_list(kind_code(kind), values)
+            for j in (None, *range(1, k + 2)):
+                ratio = oracles.ealg_ratio_list(kind_code(kind), k, values, conv.value, j)
+                t = values if j is None else oracles.g0_list(kind_code(kind), j, values, conv.value)
+                out = (e_algorithm(kind, k, from_values(values), conv) if j is None
+                       else g_algorithm(kind, k, j, from_values(values), conv))
+                for i, cell in enumerate(out.to_list()):
+                    defined_window = all(r[i:i + k + 1]) and None not in t[i:i + k + 1]
+                    if ratio[i] is None and is_defined(cell) and defined_window:  # no zero R
+                        assert _fits_window(kind, k, values, conv, i, cell, j), (values, k, j, i)
+                        checked["e" if j is None else "g"] += 1
+        assert checked["g"] > 10, checked
 
 
 class TestAitken:
