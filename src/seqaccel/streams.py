@@ -11,8 +11,7 @@ cells directly, with no shifted view of the input in between.
 
 Streams are safe to read from several threads: the cell cache is
 write-once (the first computed value for an index is the one every
-reader sees), stateful producers serialize their updates, and a
-transform's last window is one tuple, replaced whole.
+reader sees), and stateful producers serialize their updates.
 """
 from __future__ import annotations
 

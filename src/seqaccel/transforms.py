@@ -38,13 +38,11 @@ cell is the ratio. The table is the route for degenerate windows only
 level from the window the cell read, and every cell above that comes
 from the one elimination step above. Where the window's system is
 singular, a defined cell is one limit that the window fits. Both routes
-read the same window, once.
-
-A transform stream keeps the window of its last cell, one tuple replaced
-whole (threads see one or the other): s or the top column, and (Δs, R)
-from one Δs stream that feeds R and the kernel's Δt (g(0, j) differences
-its window). A cell reads only the cells that window lacks (one, along
-a stream), in a full read's order, so the input cells forced are too.
+read the same window once, from cached streams, and no window is kept
+between cells: s or the top column, Δs, and R over Δs (`_remainder`;
+kind t's R is Δs). The same Δs cells give the kernel's Δt (g(0, j)
+differences its window). Each input cell is forced once, in a full
+read's order.
 """
 from __future__ import annotations
 
@@ -106,33 +104,26 @@ def remainder_estimate(kind: Kind, s: NumStream) -> NumStream:
 
     Kind u scales d[i] by i + 1, an offset other than the Levin weights'.
     """
-    d = forward_difference(s)
-    remainder = _remainders(kind, d)
-    return d if kind is Kind.T else NumStream(lambda x: remainder(x)[1], _extent(kind, s, 0))
+    return _remainder(kind, s, forward_difference(s))
 
 
-def _remainders(kind: Kind, d: NumStream):
-    """The reader x -> (Δs[x], R[x]) over d = Δs; kind v reads d[x + 1] first."""
-    def cell(x: int) -> tuple[Element, Element]:
-        if kind is Kind.V:
-            d1, d0 = d.at(x + 1), d.at(x)
-            return d0, div(mul(d1, d0), sub(d1, d0))
-        d0 = d.at(x)
-        return d0, d0 if kind is Kind.T else mul(d0, x + 1)
-    return cell
+def _remainder(kind: Kind, s: NumStream, d: NumStream) -> NumStream:
+    """R over d = Δs: d itself (t), (x + 1)·d[x] (u), or d[x + 1]·d[x] / Δd[x] (v)."""
+    if kind is Kind.T:
+        return d
+
+    def cell(x: int) -> Element:
+        if kind is Kind.U:
+            return mul(d.at(x), x + 1)
+        d1, d0 = d.at(x + 1), d.at(x)  # kind v reads d[x + 1] first
+        return div(mul(d1, d0), sub(d1, d0))
+
+    return NumStream(cell, _extent(kind, s, 0))
 
 
 def _extent(kind: Kind, s: NumStream, k: int) -> int | None:
     """Length of R (k = 0), or of an order-k transform, over s."""
     return None if s.length is None else max(s.length - 1 - (kind is Kind.V) - k, 0)
-
-
-def _slide(at, lo: int, n: int, last_lo: int, last: tuple) -> tuple:
-    """Cells lo..lo+n-1 through `at`, taking those the window `last` at last_lo holds."""
-    if lo == last_lo + 1 and len(last) == n:  # the next cell along the stream
-        return last[1:] + (at(lo + n - 1),)
-    return tuple(last[x - last_lo] if 0 <= x - last_lo < len(last) else at(x)
-                 for x in range(lo, lo + n))
 
 
 def _weight(j: int, x: int, r: Element, convention: GConvention) -> Element:
@@ -143,25 +134,26 @@ def _weight(j: int, x: int, r: Element, convention: GConvention) -> Element:
     return div(n_pow, r)
 
 
-def _eliminate(a0: Element, a1: Element, b0: Element, b1: Element) -> Element:
-    """One elimination step: a0 - b0 * (Δa / Δb), Δa = a1 - a0, Δb = b1 - b0.
+def _eliminate(a: tuple, b: tuple) -> tuple:
+    """Row x of the next level from rows x and x + 1 of this one, less column 1.
 
-    Short-circuit rule: Δa == 0 returns a0 outright; Δa != 0 with Δb == 0
-    is a genuine division by zero.
+    Column c is a[c] - q·Δ[c], with Δ = b - a and the pivot q = a[1] / Δ[1]
+    taken once per row. An undefined a[c] or b[c] comes first; then the
+    short-circuit rule: Δ[c] == 0 gives a[c], else Δ[1] == 0 is a division by zero.
     """
-    u = first_undefined(a0, a1)
+    u = first_undefined(a[1], b[1])
     if u:
-        return propagated(u)
-    da = a1 - a0
-    if da == 0:
-        return a0
-    u = first_undefined(b0, b1)
-    if u:
-        return propagated(u)
-    db = b1 - b0
-    if db == 0:
-        return Undefined(UndefinedReason.DIV_BY_ZERO)
-    return a0 - b0 * da / db
+        q = propagated(u)
+    else:
+        q = a[1] / (b[1] - a[1]) if b[1] != a[1] else Undefined(UndefinedReason.DIV_BY_ZERO)
+    row = []
+    for x, y in zip(a[:1] + a[2:], b[:1] + b[2:]):
+        u = first_undefined(x, y)
+        if u:
+            row.append(propagated(u))
+        else:
+            row.append(x if y == x else q if isinstance(q, Undefined) else x - q * (y - x))
+    return tuple(row)
 
 
 def _reciprocals(cells: list) -> list[int]:
@@ -170,7 +162,7 @@ def _reciprocals(cells: list) -> list[int]:
     return [c.denominator * (v // c.numerator) for c in cells]
 
 
-def _closed_form(i: int, r_win: tuple, t_win: tuple, text: bool, dt=None) -> Fraction | None:
+def _closed_form(i: int, r_win: list, t_win: list, text: bool, dt=None) -> Fraction | None:
     """Cell i of level k = len(r_win) - 1 by `_weighted_ratio`, or None.
 
     Text: w = 1/R, n0 = i + 1; code: w = R, no power of n; t is the top
@@ -190,7 +182,7 @@ def _closed_form(i: int, r_win: tuple, t_win: tuple, text: bool, dt=None) -> Fra
     return None if isinstance(value, Undefined) else value
 
 
-def _weighted_ratio(ws: list[int], t0: Fraction, dt: tuple, n0: int | None) -> Element:
+def _weighted_ratio(ws: list[int], t0: Fraction, dt: list, n0: int | None) -> Element:
     """t[0] + Σⱼ Wⱼ·wⱼ·(t[j] - t[0]) / Σⱼ Wⱼ·wⱼ over j = 0..k = len(ws) - 1.
 
     Wⱼ = (-1)^(k-j) C(k, j), times (n0 + j)^(k-1) unless n0 is None: the
@@ -220,28 +212,26 @@ def _table(kind: Kind, k: int, s: NumStream, convention: GConvention, j=None) ->
     a zero R or a zero denominator. The row at level m and index x holds
     cell x of the top column and of g(m, m+1), ..., g(m, k); its second
     entry is the pivot that level m + 1 eliminates. Level 0 is built from
-    the window the cell read; row x at level m >= 1 takes `_eliminate` on
-    each column of rows x and x+1 at level m - 1, so a table cell i fills
-    the missing rows i..i+k-m of each level m, bottom-up.
+    the window the cell read; row x at level m >= 1 is `_eliminate` of
+    rows x and x+1 at level m - 1, so a table cell i fills the missing
+    rows i..i+k-m of each level m, bottom-up.
     """
-    remainder = _remainders(kind, forward_difference(s))
+    d = forward_difference(s)
+    r = _remainder(kind, s, d)
+    top = s if j is None else NumStream(lambda x: _weight(j, x, r.at(x), convention), r.length)
     text = convention is GConvention.TEXT
     rows: list[dict[int, tuple]] = [{} for _ in range(k + 1)]
-    last = (0, (), ())  # the window read last: i, then (Δs, R) and t at i..i+k
 
     def compute(i: int) -> Element:
-        nonlocal last
-        i0, dr_last, t_last = last
-        dr = _slide(remainder, i, k + 1, i0, dr_last)
-        d_win, r_win = zip(*dr)
-        top = s.at if j is None else lambda x: _weight(j, x, r_win[x - i], convention)
-        t_win = _slide(top, i, k + 1, i0, t_last)
-        last = (i, dr, t_win)
+        window = range(i, i + k + 1)
+        r_win = list(map(r.at, window))
+        t_win = list(map(top.at, window))
         if k:
-            value = _closed_form(i, r_win, t_win, text, None if j else d_win[:k])
+            dt = None if j else list(map(d.at, range(i, i + k)))
+            value = _closed_form(i, r_win, t_win, text, dt)
             if value is not None:
                 return value
-        for x, rx, tx in zip(range(i, i + k + 1), r_win, t_win):
+        for x, rx, tx in zip(window, r_win, t_win):
             if x not in rows[0]:  # rows are deterministic: write-once suffices
                 rows[0].setdefault(x, (tx, *(_weight(c, x, rx, convention)
                                              for c in range(1, k + 1))))
@@ -249,9 +239,7 @@ def _table(kind: Kind, k: int, s: NumStream, convention: GConvention, j=None) ->
             below, level = rows[m - 1], rows[m]
             for x in range(i, i + k - m + 1):
                 if x not in level:
-                    a, b = below[x], below[x + 1]
-                    level.setdefault(x, tuple(_eliminate(a[c], b[c], a[1], b[1])
-                                              for c in range(len(a)) if c != 1))
+                    level.setdefault(x, _eliminate(below[x], below[x + 1]))
         return rows[k][i][0]
 
     return NumStream(compute, _extent(kind, s, k))
@@ -309,23 +297,17 @@ def levin(kind: Kind, k: int, s: NumStream) -> NumStream:
         raise ValueError(f"order must be >= 0, got {k}")
     if k == 0:
         return s
-    remainder = _remainders(kind, forward_difference(s))
-    last = (0, (), ())  # the window read last: i, then s and (Δs, R) at i..i+k
+    d = forward_difference(s)
+    r = _remainder(kind, s, d)
 
     def compute(i: int) -> Element:
-        nonlocal last
-        i0, s_last, dr_last = last
-        s_win = _slide(s.at, i, k + 1, i0, s_last)
-        dr = _slide(remainder, i, 1 if k == 1 else k + 1, i0, dr_last)
-        last = (i, s_win, dr)
+        s_win = list(map(s.at, range(i, i + k + 1)))
         if k == 1:  # R[i] alone first: the short-circuit leaves R[i+1] unread
-            (s0, s1), r0 = s_win, dr[0][1]
+            (s0, s1), r0 = s_win, r.at(i)
             u = first_undefined(s0, s1, r0)
             if u or s1 == s0 or r0 == 0:  # Δs[i]·R[i] = 0
                 return propagated(u) if u else s0
-            dr += _slide(remainder, i + 1, 1, i0, dr_last)
-            last = (i, s_win, dr)
-        d_win, r_win = zip(*dr)
+        r_win = list(map(r.at, range(i, i + k + 1)))
         u = first_undefined(s_win[k], *reversed(r_win[:k]), s_win[k - 1], r_win[k],
                             *reversed(s_win[:k - 1]))
         if u:
@@ -333,7 +315,6 @@ def levin(kind: Kind, k: int, s: NumStream) -> NumStream:
         # ws[j] is ∏ R[i+m] over m != j, divided by the product of the nonzero R.
         lone_zero = r_win.count(0) == 1
         ws = [int(lone_zero and c == 0) for c in r_win] if 0 in r_win else _reciprocals(r_win)
-        return _weighted_ratio(ws, s_win[0], d_win[:k], i)
+        return _weighted_ratio(ws, s_win[0], list(map(d.at, range(i, i + k))), i)
 
     return NumStream(compute, _extent(kind, s, k))
-

@@ -254,15 +254,15 @@ class TestReports:
         assert set(source.reads.values()) == {1}
 
     # Streams built by one TakeLast growth_coefficient or sum_series report:
-    # source, input view, preparation, Δs, the transform (for the
-    # E-algorithm, its table) and the one-shorter cut. R is no stream of
-    # its own: the transform's window forms it from Δs, for every kind.
+    # source, input view, preparation, Δs, R, the transform (for the
+    # E-algorithm, its table) and the one-shorter cut. Kind t's R is Δs
+    # itself; kinds u and v build one R stream over it.
     @pytest.mark.parametrize("mode", [TakeLast(), AtIndex(5)], ids=["take-last", "at-index-5"])
     @pytest.mark.parametrize("spec,streams", [
         (TransformSpec(Method.LEVIN, Kind.T, 2), 6),
-        (TransformSpec(Method.LEVIN, Kind.U, 2), 6),
-        (TransformSpec(Method.LEVIN, Kind.V, 2), 6),
-        (TransformSpec(Method.EALG, Kind.V, 3), 6),
+        (TransformSpec(Method.LEVIN, Kind.U, 2), 7),
+        (TransformSpec(Method.LEVIN, Kind.V, 2), 7),
+        (TransformSpec(Method.EALG, Kind.V, 3), 7),
     ], ids=["levin-t2", "levin-u2", "levin-v2", "ealg-v3"])
     @pytest.mark.parametrize("run", list(PIPELINES), ids=lambda f: f.__name__)
     def test_one_stream_per_stage(self, monkeypatch, run, spec, streams, mode):

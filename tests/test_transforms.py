@@ -327,9 +327,9 @@ class TestEAlgorithm:
         served, calls = _count_paths(monkeypatch), Counter()
         eliminate = transforms._eliminate
 
-        def counted(a0, a1, b0, b1):
-            calls["zero pivot"] += is_defined(b0) and is_defined(b1) and b0 == b1
-            return eliminate(a0, a1, b0, b1)
+        def counted(a, b):
+            calls["zero pivot"] += is_defined(a[1]) and is_defined(b[1]) and a[1] == b[1]
+            return eliminate(a, b)
 
         monkeypatch.setattr(transforms, "_eliminate", counted)
         rng = random.Random(3)
@@ -458,23 +458,23 @@ class TestClosedForm:
 
     def test_table_cell_reads_its_window_once(self, monkeypatch):
         # A cell that takes the table builds its level-0 rows from the window
-        # it already read: one `at` per cell of s, one R (`_remainders`) per
+        # it already read: one `at` per cell of s, one R (`_remainder`) per
         # cell, and for `g_algorithm` one g(0, j) per cell. Δs comes from a
         # copy of the input, so the s counts hold only the table's own reads.
         served = _count_paths(monkeypatch)
         tops, remainders = Counter(), Counter()
-        weight, reader = transforms._weight, transforms._remainders
+        weight, remainder = transforms._weight, transforms._remainder
 
         def counted_weight(c, x, *rest):
             tops[c, x] += 1
             return weight(c, x, *rest)
 
-        def counted_reader(kind, d):
-            cell = reader(kind, d)
-            return lambda x: remainders.update([x]) or cell(x)
+        def counted_remainder(kind, s, d):
+            r = remainder(kind, s, d)
+            return NumStream(lambda x: remainders.update([x]) or r.at(x), r.length)
 
         monkeypatch.setattr(transforms, "_weight", counted_weight)
-        monkeypatch.setattr(transforms, "_remainders", counted_reader)
+        monkeypatch.setattr(transforms, "_remainder", counted_remainder)
         base = [F(1, x * x + 3) for x in range(12)]
         zero_r = base[:2] + base[1:11]
         undefined = base[:1] + [DZ] + base[2:]
@@ -551,7 +551,7 @@ def _read_orders(rng: random.Random, n: int) -> dict[str, list[int]]:
 
 
 class TestSlidingWindow:
-    """A transform stream reuses its last window; every read order gives the same cells."""
+    """Every read order of a transform stream, and every reader, gives a fresh stream's cells."""
 
     UNDEFINED = [DZ, ZZ, OOR, P(DZ), P(ZZ), P(OOR)]
 
@@ -628,29 +628,35 @@ class TestSlidingWindow:
 
     @pytest.mark.parametrize("k", [2, 3, 12])
     def test_reads_per_cell_along_a_stream(self, monkeypatch, k):
-        # Reading all 300 cells in order, a cell reads only what its window
-        # lacks: at most 6 `NumStream.at` calls (7 for kind v, whose R
-        # reads one Δs cell more), counting the read of the cell itself.
+        # Reading all 300 cells in order computes every cell of s, Δs and R
+        # exactly once: each window comes from the streams' own caches, and
+        # there is one Δs and one R per transform (kind t's R is Δs).
         values = take(partial_sums(leibniz_pi4_terms()), 300 + k + 2).to_list()
-        calls = Counter()
-        at = NumStream.at
+        computed = Counter()
 
-        def counted(stream, i):
-            calls[0] += 1
-            return at(stream, i)
+        def counted(name: str, stream: NumStream) -> NumStream:
+            compute = stream._compute
+            stream._compute = lambda x: computed.update([(name, x)]) or compute(x)
+            return stream
 
+        remainder = transforms._remainder
+        monkeypatch.setattr(transforms, "forward_difference",
+                            lambda s: counted("Δs", forward_difference(s)))
+        monkeypatch.setattr(transforms, "_remainder",
+                            lambda kind, s, d: counted("R", remainder(kind, s, d)))
         for kind in KINDS:
             for build in (lambda s: levin(kind, k, s),
                           lambda s: e_algorithm(kind, k, s, GConvention.TEXT),
                           lambda s: e_algorithm(kind, k, s, GConvention.CODE)):
-                out = build(from_values(values))
+                computed.clear()
+                out = build(counted("s", NumStream(values.__getitem__, len(values))))
                 assert out.length >= 300
-                calls.clear()
-                with monkeypatch.context() as m:
-                    m.setattr(NumStream, "at", counted)
-                    for i in range(300):
-                        out.at(i)
-                assert calls[0] / 300 <= (7 if kind is Kind.V else 6), (kind, k, calls[0] / 300)
+                for i in range(300):
+                    out.at(i)
+                v = kind is Kind.V
+                assert computed == Counter(
+                    [("s", x) for x in range(301 + k + v)] + [("Δs", x) for x in range(300 + k + v)]
+                    + [("R", x) for x in range(300 + k)]), (kind, k)
 
 
 class TestSharedTable:
@@ -694,15 +700,23 @@ def _inverse_powers(p: list, n) -> Fraction:
     return sum(c / F(n) ** e for e, c in enumerate(p))
 
 
-def _model_values(kind: Kind, s0: Fraction, count: int, remainder, start: int = 0) -> list:
-    """s with R[x] = remainder(x, s[x]) for x >= start, R = Δs (t) or (x + 1)·Δs (u).
+def _model_values(kind: Kind, s0: Fraction, count: int, remainder, start: int = 0,
+                  s1: Fraction | None = None) -> list:
+    """s with R[x] = remainder(x, s[x]) for x >= start, under kind's R.
 
-    s[start] = s0, and the cells before it repeat s0.
+    s[start] = s0, and the cells before it repeat s0. Kinds t and u step
+    Δs[x] = R or R/(x + 1). Kind v starts from s[start + 1] = s1 and solves
+    R = Δs[x+1]·Δs[x] / (Δs[x+1] - Δs[x]) for Δs[x+1] = R·Δs[x] / (R - Δs[x]).
     """
-    s = [s0] * (start + 1)
-    for x in range(start, count - 1):
+    s = [s0] * (start + 1) + ([s1] if kind is Kind.V else [])
+    while len(s) < count:
+        x = len(s) - 1 - (kind is Kind.V)
         r = remainder(x, s[x])
-        s.append(s[x] + (r / (x + 1) if kind is Kind.U else r))
+        if kind is Kind.V:
+            d = s[x + 1] - s[x]
+            s.append(s[x + 1] + r * d / (r - d))
+        else:
+            s.append(s[x] + (r / (x + 1) if kind is Kind.U else r))
     return s
 
 
@@ -808,6 +822,38 @@ class TestKernelSequences:
                           start)
         ratio = oracles.levin_list(kind_code(kind), k, s)
         for i, cell in enumerate(levin(kind, k, from_values(s)).to_list()[start:], start):
+            assert cell == limit if is_defined(cell) else ratio[i] is None, (i, s)
+
+    @given(family=st.sampled_from(["text", "code", "levin"]), k=st.integers(1, 4),
+           limit=small_rationals, s0=small_rationals, s1=small_rationals,
+           p=st.lists(small_rationals, min_size=4, max_size=4))
+    def test_kind_v_every_defined_cell_is_the_limit(self, family, k, limit, s0, s1, p):
+        # Kind v on each family's model: `text` s - L = R·P(1/n) with
+        # n = x + 1, `code` (s - L)·R = P(n) with n = x + 1, and Levin
+        # s - L = R·P(1/n) with n = x, from x = 1 for k >= 2 (cell 0 left
+        # out). The model's R fixes the next step from s0 != L and s1 != s0;
+        # a zero step would make the tail constant, not a kernel sequence.
+        p = p[:k]
+        assume(p[-1] != 0 and s0 != limit and s1 != s0)
+        start = int(family == "levin" and k >= 2)
+        count = k + (6 if family == "code" else 7)
+        if family == "code":
+            assume(all(sum(c * n ** e for e, c in enumerate(p)) for n in range(1, count)))
+            model = lambda x, sx: sum(c * (x + 1) ** e for e, c in enumerate(p)) / (sx - limit)
+        else:
+            n0 = int(family == "text")
+            assume(all(_inverse_powers(p, n) for n in range(1, count + 1)))
+            model = lambda x, sx: (sx - limit) / _inverse_powers(p, x + n0)
+        try:
+            s = _model_values(Kind.V, s0, count, model, start, s1)
+        except ZeroDivisionError:
+            assume(False)
+        assume(all(b != a for a, b in zip(s[start:], s[start + 1:])))
+        if family != "levin":
+            _assert_ealg_kernel_cells(Kind.V, k, GConvention(family), s, limit)
+            return
+        ratio = oracles.levin_list("v", k, s)
+        for i, cell in enumerate(levin(Kind.V, k, from_values(s)).to_list()[start:], start):
             assert cell == limit if is_defined(cell) else ratio[i] is None, (i, s)
 
     def test_singular_window_cell_is_one_limit_the_window_fits(self):
