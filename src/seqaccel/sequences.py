@@ -8,8 +8,9 @@ Both integer sequences are defined by an O(n^2) convolution but computed
 by recurrences: plain lambda counts step up from the seed, a Catalan cell
 from a known neighbour or else by the binomial closed form. The tests
 check each generator against its defining convolution (`tests/oracles.py`),
-and Catalan also against the closed form. `open_source(name)` looks a
-built-in up by its CLI name.
+and Catalan also against the closed form. Leibniz terms are built in lowest
+terms with no gcd, which is exact: +-1 is coprime to every 2j + 1.
+`open_source(name)` looks a built-in up by its CLI name.
 
 External data arrives through `load_sequence`: one value per line,
 integers, "p/q" rationals, decimals or "undefined(<cause>)", "#"
@@ -22,7 +23,7 @@ from collections.abc import Callable
 from fractions import Fraction
 from math import comb
 
-from .scalars import Undefined, UndefinedReason, parse_scalar
+from .scalars import Undefined, UndefinedReason, _coprime, parse_scalar
 from .streams import NumStream, from_function, from_values
 
 
@@ -100,8 +101,12 @@ def alternating_naturals_terms() -> NumStream:
 
 
 def leibniz_pi4_terms() -> NumStream:
-    """Terms (-1)^j / (2j + 1); the partial sums converge to pi/4."""
-    return from_function(lambda i: Fraction(-1 if i & 1 else 1, 2 * i + 1))
+    """Terms (-1)^j / (2j + 1); the partial sums converge to pi/4.
+
+    Each term is built in lowest terms with no gcd: a numerator of +-1 is
+    coprime to any denominator, and 2j + 1 > 0.
+    """
+    return from_function(lambda i: _coprime(-1 if i & 1 else 1, 2 * i + 1))
 
 
 BUILTIN_SEQUENCES: dict[str, Callable[[], NumStream]] = {

@@ -1,4 +1,8 @@
+import copy
 import decimal
+import math
+import operator
+import pickle
 import random
 from fractions import Fraction
 
@@ -8,6 +12,7 @@ from hypothesis import example, given, strategies as st
 from seqaccel.scalars import (
     Undefined,
     UndefinedReason,
+    _coprime,
     _ilog10,
     add,
     div,
@@ -260,6 +265,57 @@ class TestParseScalar:
     def test_defined_predicate(self):
         assert is_defined(F(1))
         assert not is_defined(Undefined(UndefinedReason.OUT_OF_RANGE))
+
+
+# Small ints, and ints of 10,001-10,100 bits: past 10,000 bits but still
+# under the 4300-digit int-to-str limit, so str() and repr() work.
+contract_ints = st.one_of(
+    st.integers(-1000, 1000),
+    st.builds(lambda bits, low, sign: sign * (2 ** bits + low),
+              st.integers(10_000, 10_099), st.integers(0, 2 ** 64), st.sampled_from([1, -1])),
+)
+
+
+@st.composite
+def coprime_pairs(draw):
+    """(n, d) with gcd(n, d) = 1 and d > 0, as Fraction(a, b) reduces a/b."""
+    a, b = draw(contract_ints), draw(contract_ints.filter(lambda x: x != 0))
+    g = math.gcd(a, b) * (1 if b > 0 else -1)
+    return a // g, b // g
+
+
+class TestCoprime:
+    """`_coprime` is `Fraction(n, d)` for coprime n and d > 0, built without the gcd.
+
+    It sets Fraction's private slots, so this runs on every Python the
+    package supports and fails if a version renames them.
+    """
+
+    @given(pair=coprime_pairs())
+    @example(pair=(0, 1))
+    @example(pair=(-1, 1))
+    @example(pair=(-7, 1))
+    @example(pair=(-1, 2 ** 10_050 + 1))
+    @example(pair=(3 ** 6_400, 2 ** 10_050))
+    def test_equals_the_reduced_fraction(self, pair):
+        n, d = pair
+        want, got = F(n, d), _coprime(n, d)
+        assert (want.numerator, want.denominator) == (n, d)
+        assert type(got) is Fraction and got == want
+        assert hash(got) == hash(want)
+        assert repr(got) == repr(want) and str(got) == str(want)
+        assert got.as_integer_ratio() == want.as_integer_ratio() == (n, d)
+        for copied in (pickle.loads(pickle.dumps(got)), copy.deepcopy(got), copy.copy(got)):
+            assert type(copied) is Fraction and copied == want
+            assert copied.as_integer_ratio() == (n, d)
+
+    @given(pair=coprime_pairs(),
+           other=st.one_of(contract_ints, coprime_pairs().map(lambda p: F(*p))))
+    def test_sums_and_products_match_the_reduced_fraction(self, pair, other):
+        got, want = _coprime(*pair), F(*pair)
+        for op in (operator.add, operator.mul):
+            assert op(got, other) == op(want, other) and op(other, got) == op(other, want)
+            assert op(got, got) == op(want, want)
 
 
 class TestStringElements:

@@ -26,6 +26,7 @@ from seqaccel import (
     parse_scalar,
     partial_sums,
     plain_lambda_terms_stream,
+    sum_series,
     take,
 )
 
@@ -160,6 +161,26 @@ class TestLeibnizTerms:
 
     def test_partial_sums(self):
         assert partial_sums(leibniz_pi4_terms()).prefix(3) == [1, F(2, 3), F(13, 15)]
+
+    def test_cells_are_the_reduced_fraction(self):
+        # Cells are built without a gcd; each must be Fraction's own reduced form.
+        terms = leibniz_pi4_terms()
+        for i in range(20_000):
+            cell, want = terms.at(i), F((-1) ** i, 2 * i + 1)
+            assert type(cell) is Fraction and cell == want, i
+            assert hash(cell) == hash(want), i
+            assert cell.as_integer_ratio() == want.as_integer_ratio(), i
+
+    def test_long_partial_sums_match_oracle(self):
+        want = oracles.partial_sums_list([F((-1) ** i, 2 * i + 1) for i in range(6400)])
+        sums = partial_sums(leibniz_pi4_terms())
+        for i in (799, 6399):
+            assert sums.at(i) == want[i], i
+
+    @pytest.mark.parametrize("n", [800, 6400])
+    def test_sum_series_reads_n_terms(self, n):
+        report = sum_series(TransformSpec(Method.LEVIN, Kind.U, 2), leibniz_pi4_terms(), n)
+        assert report.terms_used == n
 
     def test_limit_is_pi_quarter(self):
         # Alternating series: |S_n - limit| is below the first omitted term.
