@@ -745,12 +745,11 @@ def _assert_ealg_kernel_cells(kind: Kind, k: int, conv: GConvention, s: list, li
     """Order-k cells on a model sequence s of limit L.
 
     Where the determinant ratio is defined, e_algorithm is L and
-    g_algorithm(k, j) is 0 for 1 <= j <= k. An undefined cell is a
-    division by zero (div-by-zero or zero-over-zero) where the window has
-    a zero R or the ratio is undefined, and a defined E-algorithm cell
-    with a zero R is L. Where the system is singular with no zero R, the
-    window fits more than one limit: a defined cell is the recursion's
-    and is one of them.
+    g_algorithm(k, j) is 0 for 1 <= j <= k. Where it is undefined, an
+    undefined cell is a division by zero (div-by-zero or zero-over-zero),
+    and a defined E-algorithm cell with a zero R is L. Where the system is
+    singular with no zero R, the window fits more than one limit: a defined
+    cell is the recursion's and is one of them.
     """
     r = oracles.remainder_list(kind_code(kind), s)
     recursion = oracles.ealg_list(kind_code(kind), k, s, conv.value)
@@ -761,11 +760,10 @@ def _assert_ealg_kernel_cells(kind: Kind, k: int, conv: GConvention, s: list, li
                else g_algorithm(kind, k, j, from_values(s), conv))
         for i, cell in enumerate(out.to_list()):
             zero_r = 0 in r[i:i + k + 1]
-            if not is_defined(cell):
-                assert cell.cause in _DIVISION_CAUSES, (i, j, cell, s)
-                assert zero_r or ratio[i] is None, (i, j, s)
-            elif ratio[i] is not None:
+            if ratio[i] is not None:
                 assert cell == want, (i, j, s)
+            elif not is_defined(cell):  # a zero R, or a singular system: a zero denominator
+                assert cell.cause in _DIVISION_CAUSES, (i, j, cell, s)
             elif j is not None:
                 assert zero_r or _fits_window(kind, k, s, conv, i, cell, j)
             elif zero_r:
