@@ -28,7 +28,7 @@ from .scalars import (
     Undefined,
     UndefinedReason,
     _expansion,
-    _rounds_up,
+    _rounded,
     div,
     is_defined,
     render_decimal,
@@ -112,10 +112,10 @@ def _require_terms(source: NumStream, n_terms: int) -> None:
 def _stable_digits(current: Element, previous: Element, up_to: int) -> int:
     """Leading significant digits on which the two renderings agree.
 
-    Each magnitude is expanded once to up_to + 1 digits. With a <= b, the
-    renderings at d digits agree where b's first d digits less a's equal
-    a's round-up less b's at one exponent (0.1949 and 0.1951 agree at 3,
-    not 2), or where a's 9...9 rolls over to b's 10...0, one exponent up.
+    That is d - 1 for the first d <= up_to at which `render_decimal(_, d)`
+    prints the two values differently, and up_to if there is none. 0.1949
+    and 0.1951 render alike at 3 digits (0.195) but not at 2 (0.19, 0.20),
+    so they agree on 1.
     """
     if not (is_defined(current) and is_defined(previous)):
         return 0
@@ -123,16 +123,9 @@ def _stable_digits(current: Element, previous: Element, up_to: int) -> int:
         return up_to
     if current == 0 or previous == 0 or (current < 0) != (previous < 0):
         return 0
-    (ea, a, a_end), (eb, b, b_end) = sorted(_expansion(v, up_to) for v in (current, previous))
-    nines, unit = len(a) - len(a.lstrip("9")), b[0] == "1" and len(b) - len(b[1:].lstrip("0"))
-    diff = 0
+    a, b = _expansion(current, up_to), _expansion(previous, up_to)
     for d in range(1, up_to + 1):
-        up = _rounds_up(a, a_end, d) - _rounds_up(b, b_end, d)
-        if ea == eb:
-            diff = 10 * diff + ord(b[d - 1]) - ord(a[d - 1])
-        else:
-            diff = 1 if eb == ea + 1 and min(nines, unit) >= d else 2
-        if diff != up:
+        if _rounded(a, d) != _rounded(b, d):
             return d - 1
     return up_to
 

@@ -216,10 +216,16 @@ def _expansion(value: Fraction, n: int) -> tuple[int, str, int]:
     return e, digits, len(digits) + 1 if rest else len(digits.rstrip("0"))
 
 
-def _rounds_up(digits: str, end: int, d: int) -> bool:
-    """Whether rounding an `_expansion` to d digits, ties to even, adds one to the d-th."""
-    c = digits[d]
-    return c > "5" or c == "5" and (end > d + 1 or digits[d - 1] in "13579")
+def _rounded(expansion: tuple[int, str, int], d: int) -> tuple[int, str]:
+    """The exponent and d digits of an `_expansion` of more than d digits, rounded ties to even."""
+    e, digits, end = expansion
+    c, head = digits[d], digits[:d]
+    if c > "5" or c == "5" and (end > d + 1 or head[-1] in "13579"):
+        # Carry the one through the trailing 9s; 9...9 rolls over to 10...0.
+        kept = head.rstrip("9")
+        head = (kept[:-1] + chr(ord(kept[-1]) + 1) if kept else "1").ljust(d, "0")
+        e += not kept
+    return e, head
 
 
 def render_decimal(value: Element, sig_digits: int) -> str:
@@ -239,13 +245,7 @@ def render_decimal(value: Element, sig_digits: int) -> str:
     if value == 0:
         return "0" if sig_digits == 1 else "0." + "0" * (sig_digits - 1)
 
-    e, digits, end = _expansion(value, sig_digits)
-    up, digits = _rounds_up(digits, end, sig_digits), digits[:sig_digits]
-    if up:  # carry the one through the trailing 9s; 9...9 rolls over to 10...0
-        head = digits.rstrip("9")
-        digits = (head[:-1] + chr(ord(head[-1]) + 1) if head else "1").ljust(sig_digits, "0")
-        e += not head
-
+    e, digits = _rounded(_expansion(value, sig_digits), sig_digits)
     if 0 <= e < sig_digits:
         int_part, frac_part = digits[: e + 1], digits[e + 1 :]
         body = int_part + ("." + frac_part if frac_part else "")

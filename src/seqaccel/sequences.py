@@ -6,10 +6,11 @@ classical divergent series, and the Leibniz series for pi/4 as a
 convergent benchmark. Values are always computed, never hard-coded.
 Both integer sequences are defined by an O(n^2) convolution but computed
 by recurrences: plain lambda counts step up from the seed, a Catalan cell
-from a known neighbour or else by the binomial closed form. The tests
-check each generator against its defining convolution (`tests/oracles.py`),
-and Catalan also against the closed form. Leibniz terms are built in lowest
-terms with no gcd, which is exact: +-1 is coprime to every 2j + 1.
+from a neighbour in its stream's cache or else by the binomial closed
+form. The tests check each generator against its defining convolution
+(`tests/oracles.py`), and Catalan also against the closed form. Leibniz
+terms are built in lowest terms with no gcd, which is exact: +-1 is
+coprime to every 2j + 1.
 `open_source(name)` looks a built-in up by its CLI name.
 
 External data arrives through `load_sequence`: one value per line,
@@ -31,23 +32,18 @@ def catalan_stream() -> NumStream:
     """Catalan numbers 1, 1, 2, 5, 14, ...
 
     Defined by C[0] = 1, C[n] = sum_{j<n} C[j]*C[n-1-j]. A read steps from a
-    known neighbour, C[n] = C[n-1] * 2(2n-1) / (n+1), or takes C(2n, n) / (n+1).
+    neighbour already in the stream's own cache, C[n] = C[n-1] * 2(2n-1) / (n+1),
+    or takes C(2n, n) / (n+1). Cached cells never change, so no lock is needed.
     """
-    known: dict[int, int] = {}
-    lock = threading.Lock()
-
     def compute(n: int) -> Fraction:
-        with lock:
-            if n - 1 in known:
-                c = known[n - 1] * 2 * (2 * n - 1) // (n + 1)
-            elif n + 1 in known:
-                c = known[n + 1] * (n + 2) // (2 * (2 * n + 1))
-            else:
-                c = comb(2 * n, n) // (n + 1)
-            known[n] = c
-            return Fraction(c)
+        if (below := s._cache.get(n - 1)) is not None:
+            return Fraction(below.numerator * 2 * (2 * n - 1) // (n + 1))
+        if (above := s._cache.get(n + 1)) is not None:
+            return Fraction(above.numerator * (n + 2) // (2 * (2 * n + 1)))
+        return Fraction(comb(2 * n, n) // (n + 1))
 
-    return NumStream(compute)
+    s = NumStream(compute)
+    return s
 
 
 def plain_lambda_terms_stream() -> NumStream:

@@ -380,7 +380,7 @@ class TestReports:
 
         counts = Counter()
         for current, previous in pairs:
-            up_to = rng.randint(1, 15)
+            up_to = rng.randint(1, 40)
             want = explicit(current, previous, up_to)
             assert _stable_digits(current, previous, up_to) == want, (current, previous, up_to)
             counts[want] += 1
@@ -449,7 +449,7 @@ class TestReports:
             seen[min(want, 30)] += 1
         assert seen["exponents differ"] > 20 and seen["same exponent"] > 200, seen
         assert all(seen[d] > 0 for d in range(31)), seen
-        # Long agreements take one expansion, not one rounding per digit.
+        # Long agreements: one expansion per value, then one rounding of it per digit.
         third = F(1, 3)
         assert _stable_digits(third, third + F(1, 10 ** 4000), 4010) == 3999
         assert _stable_digits(1 - F(1, 10 ** 3000), 1 + F(1, 10 ** 3500), 6000) == 2999
