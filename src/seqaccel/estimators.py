@@ -22,16 +22,17 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Callable
+from os.path import commonprefix
 
 from .scalars import (
     Element,
     Undefined,
     UndefinedReason,
     _expansion,
+    _render,
     _rounded,
     div,
     is_defined,
-    render_decimal,
 )
 from .streams import NumStream, _View, last_defined, partial_sums, take
 from .transforms import TransformSpec
@@ -109,13 +110,16 @@ def _require_terms(source: NumStream, n_terms: int) -> None:
         raise InsufficientTermsError(f"source provides {source.length} terms, {n_terms} requested")
 
 
-def _stable_digits(current: Element, previous: Element, up_to: int) -> int:
+def _stable_digits(current: Element, previous: Element, up_to: int,
+                   expansion: tuple | None = None) -> int:
     """Leading significant digits on which the two renderings agree.
 
     That is d - 1 for the first d <= up_to at which `render_decimal(_, d)`
     prints the two values differently, and up_to if there is none. 0.1949
     and 0.1951 render alike at 3 digits (0.195) but not at 2 (0.19, 0.20),
-    so they agree on 1.
+    so they agree on 1. `expansion` is `_expansion(current, up_to)`, where
+    the caller has it. Only a few d can be the first that differs, and
+    only those are rounded.
     """
     if not (is_defined(current) and is_defined(previous)):
         return 0
@@ -123,11 +127,25 @@ def _stable_digits(current: Element, previous: Element, up_to: int) -> int:
         return up_to
     if current == 0 or previous == 0 or (current < 0) != (previous < 0):
         return 0
-    a, b = _expansion(current, up_to), _expansion(previous, up_to)
-    for d in range(1, up_to + 1):
-        if _rounded(a, d) != _rounded(b, d):
-            return d - 1
-    return up_to
+    a, b = sorted((expansion or _expansion(current, up_to), _expansion(previous, up_to)))
+    (ea, da, _), (eb, db, _) = a, b  # the smaller magnitude first
+    if ea == eb:
+        k = len(commonprefix((da, db)))
+        # Before digit k only a tie after the last shared nonzero digit rounds apart.
+        for d in (len(da[:k].rstrip("0")) - 1, k):
+            if 1 <= d <= up_to and _rounded(a, d) != _rounded(b, d):
+                return d - 1
+        if k >= up_to or int(db[k]) - int(da[k]) != 1:
+            return min(k, up_to)
+        start = k + 1
+    elif eb - ea == 1 and (da[0], db[0]) == ("9", "1"):  # 9...9 may roll over to 10...0
+        start = 1
+    else:
+        return 0
+    # From `start`, a rounded up equals b rounded down while a reads 9s and b
+    # 0s (0.19996 and 0.20001); the next digit d decides, and past it they differ.
+    d = up_to + 1 - max(len(da[start:].lstrip("9")), len(db[start:].lstrip("0")))
+    return d - 1 if d <= up_to and _rounded(a, d) != _rounded(b, d) else min(d, up_to)
 
 
 def _report(
@@ -166,8 +184,10 @@ def _report(
     else:
         previous = Undefined(UndefinedReason.OUT_OF_RANGE)
 
-    return AccelerationReport(terms_used, estimate, render_decimal(estimate, digits),
-                              _stable_digits(estimate, previous, digits))
+    # One expansion of the estimate serves its rendering and the stability count.
+    expansion = _expansion(estimate, digits) if is_defined(estimate) and estimate else None
+    return AccelerationReport(terms_used, estimate, _render(estimate, digits, expansion),
+                              _stable_digits(estimate, previous, digits, expansion))
 
 
 def growth_coefficient(

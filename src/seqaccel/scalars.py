@@ -237,6 +237,11 @@ def render_decimal(value: Element, sig_digits: int) -> str:
     forms back (exponents up to `_MAX_EXPONENT`). Undefined cells become
     "undefined(<cause>)". The decimal separator is always ".".
     """
+    return _render(value, sig_digits)
+
+
+def _render(value: Element, sig_digits: int, expansion: tuple | None = None) -> str:
+    """`render_decimal`, given `_expansion(value, sig_digits)` where the caller has it."""
     if sig_digits < 1:
         raise ValueError(f"sig_digits must be >= 1, got {sig_digits}")
     value = as_element(value)
@@ -245,7 +250,7 @@ def render_decimal(value: Element, sig_digits: int) -> str:
     if value == 0:
         return "0" if sig_digits == 1 else "0." + "0" * (sig_digits - 1)
 
-    e, digits = _rounded(_expansion(value, sig_digits), sig_digits)
+    e, digits = _rounded(expansion or _expansion(value, sig_digits), sig_digits)
     if 0 <= e < sig_digits:
         int_part, frac_part = digits[: e + 1], digits[e + 1 :]
         body = int_part + ("." + frac_part if frac_part else "")

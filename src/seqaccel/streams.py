@@ -7,7 +7,8 @@ stream is finite and reading past the end yields
 `Undefined(OUT_OF_RANGE)` rather than raising. Indexing is 0-based
 throughout; combinators that need the classic 1-based position n use
 n = i + 1. Each pipeline stage is one stream that reads its input's
-cells directly, with no shifted view of the input in between.
+cells directly, with no shifted view of the input in between: one cell
+by `at`, or a range of them by `window`, which reads as `at` would.
 
 Streams are safe to read from several threads: the cell cache is
 write-once (the first computed value for an index is the one every
@@ -25,10 +26,9 @@ from .scalars import (
     Element,
     Undefined,
     UndefinedReason,
+    add,
     as_element,
-    first_undefined,
     is_defined,
-    propagated,
     sub,
 )
 
@@ -63,11 +63,22 @@ class NumStream:
             cell = self._cache.setdefault(i, self._compute(i))
         return cell
 
+    def window(self, lo: int, hi: int) -> list[Element]:
+        """What `[self.at(i) for i in range(lo, hi)]` returns, forcing the same
+        cells in the same order, in one call instead of one per cell."""
+        if lo < 0 or type(self).at is not NumStream.at:  # an override of `at` sees every read
+            return list(map(self.at, range(lo, hi)))
+        end = hi if self._length is None else min(hi, self._length)
+        cache, compute, cells = self._cache, self._compute, []
+        for i in range(lo, end):
+            cell = cache.get(i)
+            cells.append(cache.setdefault(i, compute(i)) if cell is None else cell)
+        cells += map(self.at, range(max(lo, end), hi))
+        return cells
+
     def prefix(self, n: int) -> list[Element]:
         """The first n cells as a list (shorter if the stream is)."""
-        if self._length is not None:
-            n = min(n, self._length)
-        return [self.at(i) for i in range(n)]
+        return self.window(0, n if self._length is None else min(n, self._length))
 
     def to_list(self) -> list[Element]:
         if self._length is None:
@@ -102,15 +113,17 @@ class _View(NumStream):
     """The first `length` cells of s, read through s's own cache.
 
     The view keeps no cells: a cached cell comes from s's cache, any other
-    from s.at, which caches it there. `highest` is the highest index read,
-    exact for a single reader.
+    from s.at, which caches it there. A range comes from one s.window on
+    the same cache, except where s overrides `at` or is itself a view:
+    there each cell is read as by `at`, so s sees the calls it would.
+    `highest` is the highest index read, exact for a single reader.
     """
 
-    __slots__ = ("highest",)
+    __slots__ = ("highest", "_source")
 
     def __init__(self, s: NumStream, length: int | None):
         super().__init__(s.at, length)
-        self._cache = s._cache
+        self._cache, self._source = s._cache, s
         self.highest = -1
 
     def at(self, i: int) -> Element:
@@ -120,6 +133,13 @@ class _View(NumStream):
             self.highest = i
         cell = self._cache.get(i)
         return self._compute(i) if cell is None else cell
+
+    def window(self, lo: int, hi: int) -> list[Element]:
+        end = hi if self._length is None else min(hi, self._length)
+        if lo < 0 or lo >= end or type(self._source).at is not NumStream.at:
+            return list(map(self.at, range(lo, hi)))
+        self.highest = max(self.highest, end - 1)
+        return self._source.window(lo, end) + list(map(self.at, range(end, hi)))
 
 
 def take(s: NumStream, n: int) -> NumStream:
@@ -160,9 +180,11 @@ def partial_sums(s: NumStream) -> NumStream:
     pairwise tree of integer pairs adds the runs and the larger terms.
     The gate keeps the unreduced run products small (see `_exact_sum`).
     The values are those of a sequential sum, and so are the forced
-    terms: every term up to i, each read once through `s.at`. The first
-    undefined term poisons its own cell and every later one: cell 0 is
-    then the term itself, any other cell `propagated` from it.
+    terms: every term up to i, each read once, a gap of two or more in
+    one `s.window` call. The first undefined term poisons its own cell
+    and every later one: cell 0 is then the term itself, any other cell
+    propagated from it, as `_exact_sum` stops at it and `add` keeps its
+    cause.
     """
     known: dict[int, Element] = {}
     keys: list[int] = []  # the indices in `known`, ascending
@@ -175,19 +197,16 @@ def partial_sums(s: NumStream) -> NumStream:
             at = bisect.bisect(keys, i)
             j = keys[at - 1] if at else -1
             a = keys[at] if at < len(keys) else None
+            # A one-term gap is one `at` read: a window costs more for one cell.
             if a is not None and a - i < i - j and is_defined(known[a]):
-                cell = known[a] - _exact_sum([s.at(m) for m in range(i + 1, a + 1)])
+                cell = known[a] - _exact_sum(s.window(i + 1, a + 1) if a - i > 1 else [s.at(a)])
+            elif i == 0:
+                cell = s.at(0)
             else:
-                terms = [s.at(m) for m in range(j + 1, i + 1)]
-                u = first_undefined(known.get(j), *terms)
-                if i == 0:
-                    cell = terms[0]
-                elif u:
-                    cell = propagated(u)
-                else:
-                    # Cell j joins outside the tree: Fraction's addition of
-                    # the smaller gap sum needs no gcd of two full-size ints.
-                    cell = _exact_sum(terms) + known.get(j, 0)
+                # Cell j joins outside the tree: Fraction's addition of the
+                # smaller gap sum needs no gcd of two full-size ints.
+                cell = add(known.get(j, 0),
+                           _exact_sum(s.window(j + 1, i + 1) if i - j > 1 else [s.at(i)]))
             known[i] = cell
             keys.insert(at, i)
             return cell
@@ -199,7 +218,7 @@ _RUN_TERMS = 16  # terms per gcd-free run
 _RUN_DENOMINATOR = 1 << 32  # a term joins a run only below this denominator
 
 
-def _exact_sum(values: list[Fraction]) -> Fraction:
+def _exact_sum(values: list[Element]) -> Element:
     """Exact sum of a nonempty list: gcd-free runs, then a balanced tree.
 
     Consecutive terms a/b with b < 2**32 fold into runs of up to 16 terms
@@ -212,24 +231,28 @@ def _exact_sum(values: list[Fraction]) -> Fraction:
     The tree then combines two nodes (p0, q0), (p1, q1) over the lcm of
     their denominators, q0 // g * q1 with g = gcd(q0, q1), so the
     operands of each product stay of similar size, and only the root is
-    reduced into a Fraction.
+    reduced into a Fraction. The sum of a list that holds an `Undefined`
+    is the first one.
     """
     if len(values) == 1:
         return values[0]
     pairs = []
     p, q, run = 0, 1, 0
-    for v in values:
-        a, b = v.as_integer_ratio()
-        if b < _RUN_DENOMINATOR:
-            p, q, run = p * b + a * q, q * b, run + 1
-            if run == _RUN_TERMS:
-                pairs.append((p, q))
-                p, q, run = 0, 1, 0
-        else:
-            if run:
-                pairs.append((p, q))
-                p, q, run = 0, 1, 0
-            pairs.append((a, b))
+    try:
+        for v in values:
+            a, b = v.as_integer_ratio()
+            if b < _RUN_DENOMINATOR:
+                p, q, run = p * b + a * q, q * b, run + 1
+                if run == _RUN_TERMS:
+                    pairs.append((p, q))
+                    p, q, run = 0, 1, 0
+            else:
+                if run:
+                    pairs.append((p, q))
+                    p, q, run = 0, 1, 0
+                pairs.append((a, b))
+    except AttributeError:  # v is the first Undefined
+        return v
     if run:
         pairs.append((p, q))
     while len(pairs) > 1:

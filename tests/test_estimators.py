@@ -35,6 +35,7 @@ from seqaccel import (
 )
 
 from seqaccel.estimators import _stable_digits
+from seqaccel.scalars import _expansion
 
 import oracles
 from conftest import assert_stream_equals
@@ -449,7 +450,8 @@ class TestReports:
             seen[min(want, 30)] += 1
         assert seen["exponents differ"] > 20 and seen["same exponent"] > 200, seen
         assert all(seen[d] > 0 for d in range(31)), seen
-        # Long agreements: one expansion per value, then one rounding of it per digit.
+        # Long agreements: one expansion per value, one scan for the first digit
+        # that differs, and a rounding only at the few digit counts that can decide.
         third = F(1, 3)
         assert _stable_digits(third, third + F(1, 10 ** 4000), 4010) == 3999
         assert _stable_digits(1 - F(1, 10 ** 3000), 1 + F(1, 10 ** 3500), 6000) == 2999
@@ -462,6 +464,68 @@ class TestReports:
         for x in (F(1, 3), F(-7, 2) * F(10) ** 40, F(4), F(0)):
             assert _stable_digits(x, F(x), 16_000) == 16_000
         assert calls == []
+
+    def test_report_expands_the_estimate_once(self, monkeypatch):
+        expanded = []
+
+        def counted(value, n):
+            expanded.append(value)
+            return _expansion(value, n)
+
+        monkeypatch.setattr("seqaccel.estimators._expansion", counted)
+        monkeypatch.setattr("seqaccel.scalars._expansion", counted)
+        report = growth_coefficient(LEVIN_U2, catalan_stream(), 800, digits=500)
+        # Once for the rendering and the stability count, once for the previous cell.
+        assert expanded.count(report.estimate) == 1 and len(expanded) == 2
+        assert report.rendered == render_decimal(report.estimate, 500)
+
+    def test_stable_digits_matches_rendering_loop_on_long_digit_strings(self):
+        def rendering_loop(x, y, up_to):
+            d = 0
+            while d < up_to and render_decimal(x, d + 1) == render_decimal(y, d + 1):
+                d += 1
+            return d
+
+        def digits(n):
+            # Runs of 9s and 0s carry and roll over; 5s followed by 0s are ties.
+            return "".join(rng.choice(rng.choice(["0123456789", "09", "059", "5"]))
+                           for _ in range(n))
+
+        rng = random.Random(2025)
+        seen = Counter()
+        for _ in range(600):
+            head = rng.choice("123456789") + digits(rng.randint(0, 300))
+            unit = F(10) ** rng.randint(-320, 300)
+            x = F(int(head), F(10) ** len(head)) * unit  # 0.<head> units
+            roll = rng.randrange(4)
+            if roll == 0:  # x nudged in one decimal place, inside its digits or past them
+                nudge = F(rng.randint(1, 9), F(10) ** rng.randint(0, 340))
+                y = x + rng.choice((-1, 1)) * nudge * unit
+            elif roll == 1:  # a shared head, then other digits (or none: an exact tie)
+                other = head[:rng.randint(1, len(head))] + digits(rng.randint(0, 20))
+                y = F(int(other), F(10) ** len(other)) * unit
+            elif roll == 2:  # exponents one apart, as 0.0999... and 0.1000... are
+                y = x * F(10) ** rng.choice((-1, 1)) + F(rng.randint(-9, 9), F(10) ** 330) * unit
+            else:  # 9...9 just below a power of ten, against that power
+                nines = rng.randint(1, 300)
+                x = (1 - F(rng.randint(1, 9), F(10) ** (nines + rng.randint(0, 3))))
+                y = 1 + F(rng.randint(-9, 9), F(10) ** rng.randint(1, 330))
+            if y <= 0:
+                continue
+            if rng.random() < 0.5:
+                x, y = -y, -x
+            up_to = rng.choice([rng.randint(1, 320), len(head), max(len(head) - 1, 1)])
+            want = rendering_loop(x, y, up_to)
+            assert _stable_digits(x, y, up_to) == want, (x, y, up_to)
+            seen[("long" if want > 100 else "short") if want else "none"] += 1
+            expansions = _expansion(x, up_to), _expansion(y, up_to)
+            seen["exponents differ"] += want > 0 and expansions[0][0] != expansions[1][0]
+            # A tie at the first digit count where the renderings differ.
+            d = want + 1
+            seen["tie"] += d <= up_to and any(ds[d] == "5" and end == d + 1
+                                              for _, ds, end in expansions)
+        assert seen["long"] > 50 and seen["short"] > 100 and seen["none"] > 20, seen
+        assert seen["exponents differ"] > 20 and seen["tie"] > 10, seen
 
     def test_pi_quarter_benchmark_beats_raw_sums(self):
         reference = oracles.pi_quarter_reference()

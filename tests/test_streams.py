@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import event, given, strategies as st
 
 from seqaccel import (
     NumStream,
@@ -212,6 +212,93 @@ class TestLaziness:
         dd.at(0)
         d.at(0)
         assert sorted(calls) == [0, 1, 2]
+
+
+class _LoggedAt(NumStream):
+    """A stream that overrides `at` and logs each call to it."""
+
+    __slots__ = ("log",)
+
+    def at(self, i):
+        self.log.append(("at", i))
+        return super().at(i)
+
+
+window_cells = st.one_of(
+    st.fractions(min_value=-9, max_value=9, max_denominator=9),
+    st.sampled_from([Undefined(UndefinedReason.DIV_BY_ZERO),
+                     Undefined(UndefinedReason.PROPAGATED_FROM_INPUT,
+                               UndefinedReason.INDETERMINATE_ZERO_OVER_ZERO)]),
+)
+
+
+class TestWindow:
+    """`window(lo, hi)` is `[at(i) for i in range(lo, hi)]`, side effects included."""
+
+    @given(data=st.data())
+    def test_window_matches_per_cell_reads(self, data):
+        shape = data.draw(st.sampled_from(
+            ["stream", "from_values", "view", "take", "take_of_take"]))
+        values = data.draw(st.lists(window_cells, min_size=1, max_size=12))
+        length = data.draw(st.none() | st.integers(0, 12))
+        counts = data.draw(st.tuples(st.integers(0, 14), st.integers(0, 14)))
+        override = data.draw(st.booleans())
+        # Earlier reads leave the range partly cached: (through the base?, index).
+        earlier = data.draw(st.lists(st.tuples(st.booleans(), st.integers(0, 16)), max_size=6))
+        lo = data.draw(st.integers(0, 16))
+        hi = lo + data.draw(st.integers(-1, 14))
+
+        def run(read):
+            log = []
+
+            def compute(i):
+                log.append(("compute", i))
+                return values[i % len(values)]
+
+            base = (_LoggedAt if override else NumStream)(compute, length)
+            if override:
+                base.log = log
+            stream = {"stream": lambda: base,
+                      "from_values": lambda: from_values(values),
+                      "view": lambda: streams._View(base, length),
+                      "take": lambda: take(base, counts[0]),
+                      "take_of_take": lambda: take(take(base, counts[0]), counts[1])}[shape]()
+            views = [stream] if isinstance(stream, streams._View) else []
+            if shape == "take_of_take":
+                views.append(stream._source)
+            for through_base, i in earlier:
+                (base if through_base else stream).at(i)
+            cells = read(stream)
+            return [(type(c), c) for c in cells], log, [v.highest for v in views]
+
+        per_cell = run(lambda s: [s.at(i) for i in range(lo, hi)])
+        assert run(lambda s: s.window(lo, hi)) == per_cell
+        event(f"{shape}, {len(per_cell[0])} cells")
+
+    def test_negative_start_rejected(self):
+        for s in (iota(0, 1), from_values([1, 2]), take(iota(0, 1), 3)):
+            with pytest.raises(ValueError):
+                s.window(-1, 2)
+            assert s.window(-1, -1) == []
+
+    def test_view_reads_its_range_in_one_call(self):
+        class LoggedWindow(NumStream):
+            def window(self, lo, hi):
+                windows.append((lo, hi))
+                return super().window(lo, hi)
+
+        windows = []
+        src = LoggedWindow(F)
+        src.at(4), src.at(7)
+        view = take(src, 10)
+        assert view.window(2, 12) == [F(i) for i in range(2, 10)] + [
+            Undefined(UndefinedReason.OUT_OF_RANGE)] * 2
+        assert windows == [(2, 10)] and view.highest == 9
+        # A partial sum reads a gap of two or more terms in one call, one term by `at`.
+        windows.clear()
+        sums = partial_sums(src)
+        assert sums.at(99) == sum(range(100)) and windows == [(0, 100)]
+        assert sums.at(100) == sum(range(101)) and windows == [(0, 100)]
 
 
 class TestConcurrency:
