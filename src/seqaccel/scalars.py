@@ -190,30 +190,19 @@ def parse_scalar(text: str) -> Fraction:
 _LOG10_2 = math.log10(2)
 
 
-def _ilog10(value: Fraction) -> int:
-    """floor(log10(|value|)) for nonzero `value`, exactly."""
-    p, q = abs(value.numerator), value.denominator
-    # |value| lies within a factor 2 of 2^(bits p - bits q), so this is
-    # within 1 of the answer; no decimal string of p or q is built.
-    e = math.floor((p.bit_length() - q.bit_length()) * _LOG10_2)
-    while not _at_least_pow10(p, q, e):
-        e -= 1
-    while _at_least_pow10(p, q, e + 1):
-        e += 1
-    return e
-
-
-def _at_least_pow10(p: int, q: int, k: int) -> bool:
-    return p >= q * 10 ** k if k >= 0 else p * 10 ** (-k) >= q
-
-
 def _expansion(value: Fraction, n: int) -> tuple[int, str, int]:
     """floor(log10(|value|)), the first n + 1 significant digits of nonzero
     `value`, and the end of their nonzero digits (past them where more follow)."""
-    e, p, q = _ilog10(value), abs(value.numerator), value.denominator
-    m, rest = divmod(p * 10 ** (n - e), q) if n >= e else divmod(p, q * 10 ** (e - n))
+    p, q = abs(value.numerator), value.denominator
+    # g <= floor(log10 |value|) = e: one unit of the margin covers |value| >
+    # 2^(bits p - bits q - 1), the other the float product's rounding. The quotient
+    # then has n + 1 + e - g digits, so its length gives e; the 1 to 3 digits
+    # past the first n + 1 only say whether more nonzero digits follow.
+    g = math.floor((p.bit_length() - q.bit_length()) * _LOG10_2) - 2
+    m, rest = divmod(p * 10 ** (n - g), q) if n >= g else divmod(p, q * 10 ** (g - n))
     digits = _int_to_digits(m)
-    return e, digits, len(digits) + 1 if rest else len(digits.rstrip("0"))
+    head, more = digits[:n + 1], rest or digits[n + 1:].rstrip("0")
+    return g + len(digits) - (n + 1), head, n + 2 if more else len(head.rstrip("0"))
 
 
 def _rounded(expansion: tuple[int, str, int], d: int) -> tuple[int, str]:

@@ -285,11 +285,11 @@ def levin(kind: Kind, k: int, s: NumStream) -> NumStream:
     (i+j)^(k-1) = 0 (i = j = 0, k >= 2); two or more make it
     `zero-over-zero`. Order 1 keeps the short-circuit rule: when
     Δs[i]·R[i] = 0 the cell is s[i] and R[i+1] is not read. From order 2
-    on, a zero denominator is undefined as in `div`. An undefined operand
-    makes the cell undefined with the cause of the first one in summand
-    order, s[i+k], R[i+k-1..i], s[i+k-1], R[i+k], s[i+k-2..i] (the
-    summands wⱼ s[i+j] ∏ R[i+m], j then m != j from k down to 0). Order
-    1 with kind T is `aitken`.
+    on, a zero denominator is undefined as in `div`. An undefined operand makes
+    the cell undefined with the cause of the first one in summand order,
+    s[i+k], R[i+k-1..i], s[i+k-1], R[i+k], s[i+k-2..i] (the summands wⱼ s[i+j]
+    ∏ R[i+m], j then m != j from k down to 0) from order 2 on; order 1 checks
+    s[i], s[i+1], R[i], then R[i+1]. Order 1 with kind T is `aitken`.
     Kind u scales R[i] by i + 1 while the weights use (i+j)^(k-1), so
     from order 2 on it is a modified u, the textbook variant u for no β.
     """

@@ -1,20 +1,34 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
 import types
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import seqaccel
 from seqaccel import (
     BUILTIN_SEQUENCES,
+    AtIndex,
+    GConvention,
+    InsufficientTermsError,
     Kind,
     Method,
     NumStream,
+    TakeLast,
     TransformSpec,
+    UndefinedReason,
     catalan_stream,
     growth_coefficient,
+    is_defined,
+    load_sequence,
+    open_source,
+    render_decimal,
+    take,
 )
 from seqaccel.cli import COMMANDS, main
 
@@ -455,3 +469,123 @@ def test_one_parser_serves_every_call(capsys, monkeypatch):
         for n in order:
             assert run_cli(capsys, *argvs[n]) == want[n], argvs[n]
     assert len(built) == 1 and cli._parser is built[0]
+
+
+# The documented input grammar: one literal per line (integer, p/q, or a
+# decimal with an optional exponent), "undefined(<cause>)", "#" comments and
+# blank lines. Long literals pass the interpreter's 4300-digit int<->str limit.
+_SIGNS = st.sampled_from(["", "+", "-"])
+_DIGITS = st.text("0123456789", min_size=1, max_size=12)
+
+
+@st.composite
+def _literals(draw) -> str:
+    sign, whole = draw(_SIGNS), draw(_DIGITS)
+    form = draw(st.sampled_from(["int", "p/q", "decimal"]))
+    if form == "p/q":
+        return f"{sign}{whole}/{draw(_DIGITS.filter(lambda d: d.strip('0')))}"
+    if form == "decimal":
+        frac = draw(st.sampled_from(["", "."])) and "." + draw(_DIGITS)
+        exponent = draw(st.sampled_from(["", "e", "E"]))
+        if exponent:
+            zeros = "0" * draw(st.integers(0, 2))
+            exponent += draw(_SIGNS) + zeros + str(draw(st.integers(0, 40)))
+        return sign + whole + frac + exponent
+    return sign + whole
+
+
+@st.composite
+def _long_literals(draw) -> str:
+    """A literal of 4301 to 4500 digits, from a repeated seed."""
+    sign, whole, seed = draw(_SIGNS), draw(_DIGITS), draw(_DIGITS)
+    size = draw(st.integers(4301, 4500))
+    digits = (seed * (size // len(seed) + 1))[:size]
+    return draw(st.sampled_from([sign + digits, f"{sign}{whole}/1{digits}",
+                                 f"{sign}{digits}/{digits[:5]}7", f"{sign}{whole}.{digits}"]))
+
+
+@st.composite
+def _lines(draw) -> str:
+    value = draw(_literals() | st.sampled_from(
+        [f"undefined({reason.value})" for reason in UndefinedReason]))
+    return draw(st.sampled_from(["", " ", "# note"])) or value + draw(
+        st.sampled_from(["", "  ", " # note", "#"]))
+
+
+@st.composite
+def _invocations(draw) -> dict:
+    run = {"command": draw(st.sampled_from(list(COMMANDS))),
+           "method": draw(st.sampled_from(["levin", "ealg"])),
+           "kind": draw(st.sampled_from(["t", "u", "v"])),
+           "order": draw(st.integers(0, 4) | st.integers(0, 12)),
+           "convention": draw(st.sampled_from(["text", "code"])),
+           "digits": draw(st.integers(1, 30) | st.just(4301)),
+           "index": None}
+    if run["command"] != "table" and draw(st.booleans()):
+        run["index"] = draw(st.integers(0, 40))
+    if draw(st.booleans()):
+        run["generator"], most = draw(st.sampled_from(sorted(BUILTIN_SEQUENCES))), 40
+    else:
+        run["lines"] = lines = draw(st.lists(_lines(), max_size=30))
+        # Long literals only up to order 4: the E-algorithm table route is slow on them.
+        for _ in range(draw(st.integers(0, 2)) if run["order"] <= 4 else 0):
+            lines.insert(draw(st.integers(0, len(lines))), draw(_long_literals()))
+        most = len(lines) + 2  # files a little too short exit 1
+    run["terms"] = draw(st.integers(0, most)) if run["index"] is None or draw(st.booleans()) \
+        else None
+    return run
+
+
+def _argv(run: dict, path: str) -> list[str]:
+    argv = [run["command"], "--method", run["method"], "--kind", run["kind"],
+            "--order", str(run["order"]), "--g-convention", run["convention"],
+            "--digits", str(run["digits"])]
+    argv += ["--generator", run["generator"]] if "generator" in run else ["--input", path]
+    if run["terms"] is not None:
+        argv += ["--terms", str(run["terms"])]
+    if run["index"] is not None:
+        argv += ["--mode", f"at-index:{run['index']}"]
+    return argv
+
+
+def _library_run(run: dict, path: str) -> tuple[int, str]:
+    """The exit code and stdout `main` should give, from the library alone."""
+    source = open_source(run["generator"]) if "generator" in run else load_sequence(path)
+    spec = TransformSpec(Method(run["method"]), Kind(run["kind"]), run["order"],
+                         GConvention(run["convention"]))
+    digits, terms = run["digits"], run["terms"]
+    if run["command"] == "table":
+        if source.length is not None and source.length < terms:
+            return 1, ""
+        raw = take(source, terms)
+        transformed = spec.apply(raw)
+        return 0, "".join(f"{i}\t{render_decimal(raw.at(i), digits)}\t"
+                          f"{render_decimal(transformed.at(i), digits)}\n" for i in range(terms))
+    mode = TakeLast() if run["index"] is None else AtIndex(run["index"])
+    try:
+        report = COMMANDS[run["command"]][1](spec, source, terms, digits=digits, mode=mode)
+    except InsufficientTermsError:
+        return 1, ""
+    text = report.rendered + "\n"
+    if run["command"] != "accelerate":
+        text += f"stable-digits: {report.digits_stable}\n"
+    return 0 if is_defined(report.estimate) else 2, text
+
+
+class TestGrammarFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(run=_invocations())
+    def test_in_grammar_calls_match_the_library(self, run):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "seq.txt")
+            if "lines" in run:
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write("".join(line + "\n" for line in run["lines"]))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(_argv(run, path))
+            assert code in (0, 1, 2), err.getvalue()
+            if run["command"] != "table":
+                assert (code == 2) == out.getvalue().startswith("undefined(")
+            assert (code, out.getvalue()) == _library_run(run, path)
+            assert err.getvalue().startswith("seqaccel: error: ") == (code == 1)

@@ -1,6 +1,8 @@
 import copy
 import pickle
 import random
+import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 
@@ -28,6 +30,7 @@ from seqaccel import (
     last_defined,
     leibniz_pi4_terms,
     partial_sums,
+    plain_lambda_terms_stream,
     ratio_stream,
     render_decimal,
     sum_series,
@@ -532,6 +535,55 @@ class TestReports:
         report = sum_series(LEVIN_U2, leibniz_pi4_terms(), 20)
         raw = partial_sums(take(leibniz_pi4_terms(), 20)).at(19)
         assert abs(report.estimate - reference) < abs(raw - reference)
+
+    @pytest.mark.parametrize("run", list(PIPELINES), ids=lambda f: f.__name__)
+    def test_zero_digits_rejected_before_any_read(self, run):
+        source, forced = counting_stream(lambda i: F(i + 1))
+        with pytest.raises(ValueError, match="^digits must be >= 1, got 0$"):
+            run(LEVIN_U2, source, 10, digits=0)
+        assert forced == []
+
+
+class TestSharedSources:
+    """Reports over one source that 8 threads share equal single-threaded
+    reports on a fresh source, `terms_used` included."""
+
+    CASES = [(spec, mode) for spec in (LEVIN_U2, EALG_T2, TransformSpec(Method.LEVIN, Kind.V, 3))
+             for mode in (TakeLast(), AtIndex(90))]
+
+    @pytest.mark.parametrize("run,make,n_terms", [
+        (growth_coefficient, catalan_stream, 200),
+        (growth_coefficient, plain_lambda_terms_stream, 150),
+        (sum_series, leibniz_pi4_terms, 300),
+    ], ids=["catalan", "plain-lambda", "leibniz"])
+    def test_threads_on_one_source_match_a_fresh_source(self, run, make, n_terms):
+        want = [run(spec, make(), n_terms, digits=20, mode=mode) for spec, mode in self.CASES]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                shared, start, seen = make(), threading.Barrier(8), {}
+
+                def read(reader: int) -> None:
+                    start.wait(timeout=60)
+                    reports = [None] * len(self.CASES)
+                    for c in range(reader, reader + len(self.CASES)):  # each starts elsewhere
+                        spec, mode = self.CASES[c % len(self.CASES)]
+                        reports[c % len(self.CASES)] = run(spec, shared, n_terms, digits=20,
+                                                           mode=mode)
+                    seen[reader] = reports
+
+                threads = [threading.Thread(target=read, args=(r,)) for r in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                assert not any(thread.is_alive() for thread in threads)
+                assert sorted(seen) == list(range(8))
+                for reports in seen.values():
+                    assert reports == want
+        finally:
+            sys.setswitchinterval(interval)
 
 
 # The five records: a factory, the repr pinned in the format `dataclasses`

@@ -13,8 +13,9 @@ from seqaccel.scalars import (
     Undefined,
     UndefinedReason,
     _coprime,
-    _ilog10,
+    _expansion,
     add,
+    as_element,
     div,
     is_defined,
     mul,
@@ -205,16 +206,43 @@ def _ilog10_cases():
 
 class TestIlog10:
     def test_brackets_every_case_exactly(self):
-        for value in _ilog10_cases():
-            e = _ilog10(value)
+        for i, value in enumerate(_ilog10_cases()):
+            e = _expansion(value, 1 + i % 41)[0]
             assert F(10) ** e <= abs(value) < F(10) ** (e + 1), (value.numerator.bit_length(), e)
 
     def test_powers_of_ten_are_exact(self):
         for k in (1, 4300, 40_000):
-            assert _ilog10(F(10 ** k)) == k
-            assert _ilog10(F(1, 10 ** k)) == -k
-            assert _ilog10(F(10 ** k - 1)) == k - 1
-            assert _ilog10(F(1, 10 ** k + 1)) == -k - 1
+            assert _expansion(F(10 ** k), 1)[0] == k
+            assert _expansion(F(1, 10 ** k), 1)[0] == -k
+            assert _expansion(F(10 ** k - 1), 1)[0] == k - 1
+            assert _expansion(F(1, 10 ** k + 1), 1)[0] == -k - 1
+
+    @pytest.mark.parametrize("value,n,want", [
+        # floor((bits p - bits q)·log10 2) is 0 for 4/5, 1 and 10, and 1 for 64/7:
+        # above, at, below and above the exponent, before the margin.
+        (F(4, 5), 3, (-1, "8000", 1)),
+        (F(1), 2, (0, "100", 1)),
+        (F(10), 1, (1, "10", 1)),
+        (F(64, 7), 1, (0, "91", 3)),
+        (F(-4, 5), 1, (-1, "80", 1)),
+        (F(10), 4, (1, "10000", 1)),
+        (F(9, 7), 1, (0, "12", 3)),  # 1.2857...: more nonzero digits follow
+        (F(1, 3), 1, (-1, "33", 3)),
+        (F(1001, 1000), 2, (0, "100", 4)),  # 1.001: the first nonzero digit past n + 1
+        (F(10 ** 20 - 1), 2, (19, "999", 4)),
+    ])
+    def test_guess_above_at_and_below_the_exponent(self, value, n, want):
+        assert _expansion(value, n) == want
+
+    def test_every_case_has_n_plus_one_exact_digits(self):
+        for i, value in enumerate(_ilog10_cases()):
+            n = 1 + i % 41
+            e, digits, end = _expansion(value, n)
+            assert len(digits) == n + 1 and digits[0] != "0"
+            low = parse_scalar(digits) * F(10) ** (e - n)
+            assert low <= abs(value) < low + F(10) ** (e - n)
+            exact = low == abs(value)
+            assert end == (len(digits.rstrip("0")) if exact else n + 2)
 
     def test_render_past_the_digit_limit(self):
         # Numerator and denominator have over 10,000 digits each.
@@ -316,6 +344,16 @@ class TestCoprime:
         for op in (operator.add, operator.mul):
             assert op(got, other) == op(want, other) and op(other, got) == op(other, want)
             assert op(got, got) == op(want, want)
+
+
+class TestAsElement:
+    @pytest.mark.parametrize("value,message", [
+        (True, "bool is not a scalar"),
+        (1.5, "cannot convert float to an Element"),
+    ])
+    def test_non_scalars_rejected(self, value, message):
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            as_element(value)
 
 
 class TestStringElements:

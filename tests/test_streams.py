@@ -66,6 +66,14 @@ class TestAt:
         with pytest.raises(ValueError):
             iota(0, 1).at(-1)
 
+    def test_negative_length_rejected(self):
+        with pytest.raises(ValueError, match="^stream length must be >= 0, got -1$"):
+            NumStream(lambda i: F(i), -1)
+
+    def test_listing_an_infinite_stream_rejected(self):
+        with pytest.raises(ValueError, match="^cannot list an infinite stream$"):
+            iota(1, 1).to_list()
+
     def test_memoization_computes_each_cell_once(self):
         s, calls = counting_source([F(3), F(5), F(8)])
         for _ in range(4):

@@ -176,8 +176,8 @@ class TestGInitial:
         assert_stream_equals(out, oracles.g0_list("t", 2, values, "code"))
 
     def test_column_below_one_rejected(self):
-        for k in (0, 2):
-            with pytest.raises(ValueError):
+        for k in (0, 1, 2):
+            with pytest.raises(ValueError, match="^weight column j must be >= 1, got 0$"):
                 g_algorithm(Kind.T, k, 0, from_values([1, 2]), GConvention.TEXT)
 
 
