@@ -16,7 +16,6 @@ reader sees), and stateful producers serialize their updates.
 """
 from __future__ import annotations
 
-import bisect
 import threading
 from collections.abc import Callable, Iterable
 from fractions import Fraction
@@ -171,47 +170,33 @@ def forward_difference(s: NumStream) -> NumStream:
 def partial_sums(s: NumStream) -> NumStream:
     """Running sums of s, same extent; undefined terms poison the rest.
 
-    Cell i is s[0] + ... + s[i]. Only the cells that were read are kept,
-    in a sparse map, and each read starts from the nearest of them:
-    cell a above i, when it is defined, less the sum of s[i+1..a], or
-    else cell j below i (or nothing) plus the sum of s[j+1..i]. A gap is
-    summed exactly by `_exact_sum`: consecutive terms with denominators
-    below 2**32 fold into gcd-free integer runs of up to 16 terms, and a
-    pairwise tree of integer pairs adds the runs and the larger terms.
-    The gate keeps the unreduced run products small (see `_exact_sum`).
-    The values are those of a sequential sum, and so are the forced
-    terms: every term up to i, each read once, a gap of two or more in
-    one `s.window` call. The first undefined term poisons its own cell
-    and every later one: cell 0 is then the term itself, any other cell
-    propagated from it, as `_exact_sum` stops at it and `add` keeps its
-    cause.
+    Cell i is s[0] + ... + s[i]. A read steps from a neighbour in the
+    stream's own cache: cell 0 is s[0]; else cell i - 1 plus s[i]; else
+    cell i + 1 less s[i+1], when that term is defined; else the sum of
+    s[0..i] from nothing, in one `s.window` call. Walking down, past an
+    undefined term too, costs one term per cell. The sum is exact:
+    `_exact_sum` folds terms with denominators below 2**32 into gcd-free
+    integer runs of up to 16, and a pairwise tree adds the runs and the
+    larger terms. Values and forced terms are those of a sequential sum:
+    every term up to i, each read once. The first undefined term poisons
+    its own cell and every later one: cell 0 is then the term itself, any
+    other cell propagated from it, keeping its cause.
     """
-    known: dict[int, Element] = {}
-    keys: list[int] = []  # the indices in `known`, ascending
-    lock = threading.Lock()
+    lock = threading.Lock()  # concurrent readers force each term once
 
     def compute(i: int) -> Element:
         with lock:
-            if i in known:  # another reader of the same fresh cell got here first
-                return known[i]
-            at = bisect.bisect(keys, i)
-            j = keys[at - 1] if at else -1
-            a = keys[at] if at < len(keys) else None
-            # A one-term gap is one `at` read: a window costs more for one cell.
-            if a is not None and a - i < i - j and is_defined(known[a]):
-                cell = known[a] - _exact_sum(s.window(i + 1, a + 1) if a - i > 1 else [s.at(a)])
-            elif i == 0:
-                cell = s.at(0)
-            else:
-                # Cell j joins outside the tree: Fraction's addition of the
-                # smaller gap sum needs no gcd of two full-size ints.
-                cell = add(known.get(j, 0),
-                           _exact_sum(s.window(j + 1, i + 1) if i - j > 1 else [s.at(i)]))
-            known[i] = cell
-            keys.insert(at, i)
-            return cell
+            if i == 0:
+                return s.at(0)
+            if (below := cells.get(i - 1)) is not None:
+                return add(below, s.at(i))
+            if (above := cells.get(i + 1)) is not None and is_defined(term := s.at(i + 1)):
+                return sub(above, term)
+            return add(0, _exact_sum(s.window(0, i + 1)))
 
-    return NumStream(compute, s.length)
+    sums = NumStream(compute, s.length)
+    cells = sums._cache  # the cache, not the stream: no cycle keeps the sums alive
+    return sums
 
 
 _RUN_TERMS = 16  # terms per gcd-free run
@@ -234,8 +219,6 @@ def _exact_sum(values: list[Element]) -> Element:
     reduced into a Fraction. The sum of a list that holds an `Undefined`
     is the first one.
     """
-    if len(values) == 1:
-        return values[0]
     pairs = []
     p, q, run = 0, 1, 0
     try:

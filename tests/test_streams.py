@@ -1,3 +1,4 @@
+import gc
 import random
 import sys
 import threading
@@ -302,7 +303,8 @@ class TestWindow:
         assert view.window(2, 12) == [F(i) for i in range(2, 10)] + [
             Undefined(UndefinedReason.OUT_OF_RANGE)] * 2
         assert windows == [(2, 10)] and view.highest == 9
-        # A partial sum reads a gap of two or more terms in one call, one term by `at`.
+        # A partial sum from nothing reads its terms in one call; one from the
+        # cell below reads its own term by `at`.
         windows.clear()
         sums = partial_sums(src)
         assert sums.at(99) == sum(range(100)) and windows == [(0, 100)]
@@ -429,8 +431,7 @@ class TestPartialSumsDifferential:
         for i in (1500, 2999, 2998, 10, 1499, 1501, 2000, 0, 2500):
             assert sums.at(i) == want[i], i
 
-    def test_each_read_sums_only_the_nearer_gap(self):
-        values = [F((-1) ** i, 2 * i + 1) for i in range(1000)]
+    def test_each_read_steps_from_a_cached_neighbour(self):
         reads = []
 
         class Terms(NumStream):
@@ -438,16 +439,48 @@ class TestPartialSumsDifferential:
                 reads.append(i)
                 return super().at(i)
 
+        def read(sums, i):
+            reads.clear()
+            cell = sums.at(i)
+            return cell, sorted(reads)
+
+        values = [F((-1) ** i, 2 * i + 1) for i in range(1000)]
         sums = partial_sums(Terms(values.__getitem__, len(values)))
         want = oracles.partial_sums_list(values)
-        # (cell, terms read): from nothing, then from the nearer known cell,
-        # above (less the terms between) or below (plus the terms between).
-        for i, expected_reads in [(999, range(1000)), (998, [999]),
-                                  (600, range(601, 999)), (100, range(101)),
-                                  (101, [101]), (350, range(102, 351))]:
-            reads.clear()
-            assert sums.at(i) == want[i]
-            assert sorted(reads) == list(expected_reads), i
+        # (cell, terms read): from nothing, then down from the cell above
+        # (less its term), from nothing again, and up from the cell below.
+        for i, expected_reads in [(999, range(1000)), (998, [999]), (997, [998]),
+                                  (600, range(601)), (601, [601])]:
+            assert read(sums, i) == (want[i], list(expected_reads)), i
+
+        # Below a poisoned cell whose own term is defined: one term read.
+        div0 = Undefined(UndefinedReason.DIV_BY_ZERO)
+        values = [F(1, i + 1) for i in range(10)]
+        values[5] = div0
+        sums = partial_sums(Terms(values.__getitem__, len(values)))
+        read(sums, 9)
+        cell, terms_read = read(sums, 8)
+        assert terms_read == [9]
+        assert_cell(cell, Undefined(UndefinedReason.PROPAGATED_FROM_INPUT, div0.cause), 8)
+
+        # Cell 0 is term 0 itself, also after cell 1 was read.
+        values = [div0, F(1)]
+        sums = partial_sums(Terms(values.__getitem__, len(values)))
+        assert_cell(sums.at(1), Undefined(UndefinedReason.PROPAGATED_FROM_INPUT, div0.cause), 1)
+        assert_cell(sums.at(0), div0, 0)
+
+    def test_read_sums_are_freed_without_the_cycle_collector(self):
+        # The cells are read through the cache, not the stream, so no
+        # reference cycle keeps a stream and its cache alive.
+        gc.collect()
+        gc.disable()
+        try:
+            sums = partial_sums(from_values([1, 2, 3]))
+            sums.at(2), sums.at(1)
+            del sums
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_cell_above_an_undefined_cell_is_not_a_start(self):
         u = Undefined(UndefinedReason.INDETERMINATE_ZERO_OVER_ZERO)
@@ -474,8 +507,8 @@ class TestPartialSumsRuns:
         rng = random.Random(gap)
         values = [F(rng.randint(-9, 9), rng.choice((1, 3, 2 ** 31 + 11, 2 ** 40 + 1, 2 ** 64)))
                   for _ in range(3 * gap)]
-        # Three gaps from nothing, then one gap less the known cell above,
-        # then one gap from nothing again.
+        # Sums of 3, 2 and 1 gaps, each from nothing (at gap 1 the last two
+        # step down from the cell above).
         sums_agree_with_oracle(values, [3 * gap - 1, 2 * gap - 1, gap - 1])
 
     @pytest.mark.parametrize("q", [2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1])
