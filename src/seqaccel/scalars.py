@@ -84,15 +84,6 @@ def as_element(x) -> Element:
     raise TypeError(f"cannot convert {type(x).__name__} to an Element")
 
 
-def _coprime(numerator: int, denominator: int) -> Fraction:
-    """Fraction(numerator, denominator) with no gcd: the caller ensures they are
-    coprime and denominator > 0. It sets Fraction's two `__slots__` (3.10-3.13), as
-    Fraction's private fast paths do; with no `__dict__`, a renamed slot raises."""
-    f = object.__new__(Fraction)
-    f._numerator, f._denominator = numerator, denominator
-    return f
-
-
 def propagated(u: Undefined) -> Undefined:
     """Undefined derived from an undefined operand; keeps the root cause."""
     return Undefined(UndefinedReason.PROPAGATED_FROM_INPUT, u.cause)

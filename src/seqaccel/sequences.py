@@ -24,7 +24,7 @@ from collections.abc import Callable
 from fractions import Fraction
 from math import comb
 
-from .scalars import Undefined, UndefinedReason, _coprime, parse_scalar
+from .scalars import Undefined, UndefinedReason, parse_scalar
 from .streams import NumStream, from_function, from_values
 
 
@@ -36,13 +36,14 @@ def catalan_stream() -> NumStream:
     or takes C(2n, n) / (n+1). Cached cells never change, so no lock is needed.
     """
     def compute(n: int) -> Fraction:
-        if (below := s._cache.get(n - 1)) is not None:
+        if (below := cells.get(n - 1)) is not None:
             return Fraction(below.numerator * 2 * (2 * n - 1) // (n + 1))
-        if (above := s._cache.get(n + 1)) is not None:
+        if (above := cells.get(n + 1)) is not None:
             return Fraction(above.numerator * (n + 2) // (2 * (2 * n + 1)))
         return Fraction(comb(2 * n, n) // (n + 1))
 
     s = NumStream(compute)
+    cells = s._cache  # the cache, not the stream: no cycle keeps the stream alive
     return s
 
 
@@ -99,10 +100,16 @@ def alternating_naturals_terms() -> NumStream:
 def leibniz_pi4_terms() -> NumStream:
     """Terms (-1)^j / (2j + 1); the partial sums converge to pi/4.
 
-    Each term is built in lowest terms with no gcd: a numerator of +-1 is
-    coprime to any denominator, and 2j + 1 > 0.
+    Each term is built in lowest terms with no gcd, in one call: +-1 is
+    coprime to any 2j + 1 > 0. It sets Fraction's two `__slots__`
+    (3.10-3.13), as Fraction's own fast paths do; a renamed slot raises.
     """
-    return from_function(lambda i: _coprime(-1 if i & 1 else 1, 2 * i + 1))
+    def term(i: int) -> Fraction:
+        f = object.__new__(Fraction)
+        f._numerator, f._denominator = -1 if i & 1 else 1, 2 * i + 1
+        return f
+
+    return from_function(term)
 
 
 BUILTIN_SEQUENCES: dict[str, Callable[[], NumStream]] = {

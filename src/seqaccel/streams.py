@@ -27,7 +27,9 @@ from .scalars import (
     UndefinedReason,
     add,
     as_element,
+    first_undefined,
     is_defined,
+    propagated,
     sub,
 )
 
@@ -172,19 +174,20 @@ def partial_sums(s: NumStream) -> NumStream:
 
     Cell i is s[0] + ... + s[i]. A read steps from a neighbour in the
     stream's own cache: cell 0 is s[0]; else cell i - 1 plus s[i]; else
-    cell i + 1 less s[i+1], when that term is defined; else the sum of
-    s[0..i] from nothing, in one `s.window` call. Walking down, past an
-    undefined term too, costs one term per cell. The sum is exact:
-    `_exact_sum` folds terms with denominators below 2**32 into gcd-free
-    integer runs of up to 16, and a pairwise tree adds the runs and the
-    larger terms. Values and forced terms are those of a sequential sum:
-    every term up to i, each read once. The first undefined term poisons
-    its own cell and every later one: cell 0 is then the term itself, any
-    other cell propagated from it, keeping its cause.
+    cell i + 1 less s[i+1], when that term is defined; else, if a sum
+    from nothing met the first undefined term u and read past i >= u,
+    the poisoned cell; else the sum of s[0..i] from nothing, in one
+    `s.window` call. So walking down costs at most one term per cell.
+    Values and forced terms are those of a sequential sum: every term up
+    to i, each read once. The first undefined term poisons its own cell
+    and every later one: cell 0 is then the term itself, any other cell
+    propagated from it, keeping its cause.
     """
     lock = threading.Lock()  # concurrent readers force each term once
+    poisoned, poison = range(0), None  # cells known poisoned, every term up to them forced
 
     def compute(i: int) -> Element:
+        nonlocal poisoned, poison
         with lock:
             if i == 0:
                 return s.at(0)
@@ -192,63 +195,61 @@ def partial_sums(s: NumStream) -> NumStream:
                 return add(below, s.at(i))
             if (above := cells.get(i + 1)) is not None and is_defined(term := s.at(i + 1)):
                 return sub(above, term)
-            return add(0, _exact_sum(s.window(0, i + 1)))
+            if i not in poisoned:
+                total = _exact_sum(terms := s.window(0, i + 1))
+                if is_defined(total):
+                    return total
+                poisoned, poison = range(terms.index(total), i + 1), propagated(total)
+            return poison
 
     sums = NumStream(compute, s.length)
     cells = sums._cache  # the cache, not the stream: no cycle keeps the sums alive
     return sums
 
 
-_RUN_TERMS = 16  # terms per gcd-free run
-_RUN_DENOMINATOR = 1 << 32  # a term joins a run only below this denominator
+_RUN_TERMS = 64  # most terms in a leaf
+_RUN_DENOMINATOR = 1 << 32  # a leaf adds a term with no gcd only below this denominator
 
 
 def _exact_sum(values: list[Element]) -> Element:
-    """Exact sum of a nonempty list: gcd-free runs, then a balanced tree.
-
-    Consecutive terms a/b with b < 2**32 fold into runs of up to 16 terms
-    as p/q -> (p*b + a*q) / (q*b), with no gcd; a term with a larger
-    denominator is a node of its own. The gate bounds what skipping the
-    gcd costs: a run's q is a product of at most 16 factors below 2**32.
-    Ungated, terms such as 1/i! or 2**-i, whose denominators share almost
-    every factor, build products about 16 times the size of their lcm,
-    and summing 1/i! over 1,500 terms ran about 100 times slower.
-    The tree then combines two nodes (p0, q0), (p1, q1) over the lcm of
-    their denominators, q0 // g * q1 with g = gcd(q0, q1), so the
-    operands of each product stay of similar size, and only the root is
-    reduced into a Fraction. The sum of a list that holds an `Undefined`
-    is the first one.
-    """
-    pairs = []
-    p, q, run = 0, 1, 0
+    """Exact sum of a nonempty list, reduced once at the root; or its first
+    `Undefined`, summing nothing after it."""
     try:
-        for v in values:
-            a, b = v.as_integer_ratio()
-            if b < _RUN_DENOMINATOR:
-                p, q, run = p * b + a * q, q * b, run + 1
-                if run == _RUN_TERMS:
-                    pairs.append((p, q))
-                    p, q, run = 0, 1, 0
-            else:
-                if run:
-                    pairs.append((p, q))
-                    p, q, run = 0, 1, 0
-                pairs.append((a, b))
-    except AttributeError:  # v is the first Undefined
-        return v
-    if run:
-        pairs.append((p, q))
-    while len(pairs) > 1:
-        merged = []
-        for m in range(1, len(pairs), 2):
-            (p0, q0), (p1, q1) = pairs[m - 1], pairs[m]
-            g = gcd(q0, q1)
-            r0 = q0 // g
-            merged.append((p0 * (q1 // g) + p1 * r0, r0 * q1))
-        if len(pairs) % 2:
-            merged.append(pairs[-1])
-        pairs = merged
-    return Fraction(*pairs[0])
+        return Fraction(*_halves(values, 0, len(values)))
+    except AttributeError:  # an Undefined, or a term that is not a Fraction
+        u = first_undefined(*values)
+        return sum(values, Fraction(0)) if u is None else u
+
+
+def _halves(values: list[Element], lo: int, hi: int) -> tuple[int, int]:
+    """Unreduced (p, q) with p/q = sum of values[lo:hi], hi > lo.
+
+    Over 64 terms, the halves are summed in order and merge over the lcm
+    of their denominators, q0 // g * q1 with g = gcd(q0, q1). A leaf
+    folds its terms a/b, read from Fraction's slots, with no gcd as
+    (p*b + a*q, q*b) while b < 2**32, else over the lcm. Ungated, terms
+    such as 1/i! or 2**-i, whose denominators share almost every factor,
+    build products many times the size of their lcm, and 1/i! over 1,500
+    terms sums about 100 times slower. Not a closure: one that calls
+    itself is a reference cycle.
+    """
+    if hi - lo > _RUN_TERMS:
+        mid = (lo + hi) // 2
+        p0, q0 = _halves(values, lo, mid)
+        p1, q1 = _halves(values, mid, hi)
+        g = gcd(q0, q1)
+        r0 = q0 // g
+        return p0 * (q1 // g) + p1 * r0, r0 * q1
+    p, q = 0, 1
+    for v in values[lo:hi]:
+        a, b = v._numerator, v._denominator  # an Undefined raises AttributeError
+        if b < _RUN_DENOMINATOR:
+            p, q = p * b + a * q, q * b
+        else:
+            g = gcd(q, b)
+            r = q // g
+            p, q = p * (b // g) + a * r, r * b
+    return p, q
 
 
 def last_defined(s: NumStream) -> Element:

@@ -221,21 +221,25 @@ class TestSumSeries:
         assert report.terms_used == 6000
         assert abs(report.estimate - oracles.pi_quarter_reference()) < F(1, 10 ** 15)
 
-    @pytest.mark.parametrize("spec,rendered", [
-        (LEVIN_U2, "0.6932388084"),
-        (EALG_T2, "0.6931521281"),
-    ], ids=["levin-u2", "ealg-t2"])
-    def test_walk_down_past_an_undefined_term_is_linear(self, spec, rendered):
+    @pytest.mark.parametrize("spec,rendered,undefined", [
+        (LEVIN_U2, "0.6932388084", lambda i: i == 9),
+        (EALG_T2, "0.6931521281", lambda i: i == 9),
+        (LEVIN_U2, "0.6932388084", lambda i: i >= 9 and i % 2),
+        (EALG_T2, "0.6931521281", lambda i: i >= 9 and i % 2),
+    ], ids=["levin-u2", "ealg-t2", "levin-u2-every-other", "ealg-t2-every-other"])
+    def test_walk_down_past_an_undefined_term_is_linear(self, spec, rendered, undefined):
         # Every partial sum from cell 9 up is poisoned, so take-last walks
-        # down all of them. Each step reads one term, not a sum from term 0.
+        # down all of them. Each step reads one term, not a sum from term 0:
+        # where term i + 1 is undefined too, cell i is known poisoned from
+        # the first sum, which read every term.
         class WindowCounting(NumStream):
             def window(self, lo, hi):
                 self.cells_read += hi - lo
                 return super().window(lo, hi)
 
         n = 3000
-        terms = WindowCounting(
-            lambda i: Undefined(UndefinedReason.DIV_BY_ZERO) if i == 9 else F((-1) ** i, i + 1), n)
+        div0 = Undefined(UndefinedReason.DIV_BY_ZERO)
+        terms = WindowCounting(lambda i: div0 if undefined(i) else F((-1) ** i, i + 1), n)
         terms.cells_read = 0
         report = sum_series(spec, terms, n)
         assert (report.rendered, report.digits_stable, report.terms_used) == (rendered, 10, n)

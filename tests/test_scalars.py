@@ -12,7 +12,6 @@ from hypothesis import example, given, strategies as st
 from seqaccel.scalars import (
     Undefined,
     UndefinedReason,
-    _coprime,
     _expansion,
     add,
     as_element,
@@ -24,7 +23,8 @@ from seqaccel.scalars import (
     render_decimal,
     sub,
 )
-from seqaccel.streams import from_values, iota
+from seqaccel.sequences import leibniz_pi4_terms
+from seqaccel.streams import _exact_sum, from_values, iota
 
 from conftest import LONG_LITERALS
 
@@ -312,23 +312,23 @@ def coprime_pairs(draw):
     return a // g, b // g
 
 
-class TestCoprime:
-    """`_coprime` is `Fraction(n, d)` for coprime n and d > 0, built without the gcd.
+class TestFractionSlots:
+    """Leibniz terms write Fraction's private slots, and `_exact_sum` reads them.
 
-    It sets Fraction's private slots, so this runs on every Python the
-    package supports and fails if a version renames them.
+    Each term is `Fraction((-1)^i, 2i + 1)` built without the gcd, and
+    `_exact_sum` reads any Fraction's numerator and denominator off its
+    slots. This runs on every Python the package supports and fails if a
+    version renames them.
     """
 
-    @given(pair=coprime_pairs())
-    @example(pair=(0, 1))
-    @example(pair=(-1, 1))
-    @example(pair=(-7, 1))
-    @example(pair=(-1, 2 ** 10_050 + 1))
-    @example(pair=(3 ** 6_400, 2 ** 10_050))
-    def test_equals_the_reduced_fraction(self, pair):
-        n, d = pair
-        want, got = F(n, d), _coprime(n, d)
-        assert (want.numerator, want.denominator) == (n, d)
+    @given(i=st.integers(0, 2 ** 70),
+           other=st.one_of(contract_ints, coprime_pairs().map(lambda p: F(*p))))
+    @example(i=0, other=0)
+    @example(i=1, other=-7)
+    @example(i=2 ** 10_049, other=F(3 ** 6_400, 2 ** 10_050))
+    def test_leibniz_terms_equal_the_reduced_fraction(self, i, other):
+        n, d = -1 if i % 2 else 1, 2 * i + 1
+        want, got = F(n, d), leibniz_pi4_terms().at(i)
         assert type(got) is Fraction and got == want
         assert hash(got) == hash(want)
         assert repr(got) == repr(want) and str(got) == str(want)
@@ -336,14 +336,20 @@ class TestCoprime:
         for copied in (pickle.loads(pickle.dumps(got)), copy.deepcopy(got), copy.copy(got)):
             assert type(copied) is Fraction and copied == want
             assert copied.as_integer_ratio() == (n, d)
-
-    @given(pair=coprime_pairs(),
-           other=st.one_of(contract_ints, coprime_pairs().map(lambda p: F(*p))))
-    def test_sums_and_products_match_the_reduced_fraction(self, pair, other):
-        got, want = _coprime(*pair), F(*pair)
         for op in (operator.add, operator.mul):
             assert op(got, other) == op(want, other) and op(other, got) == op(other, want)
             assert op(got, got) == op(want, want)
+
+    @given(pair=coprime_pairs(), other=coprime_pairs().map(lambda p: F(*p)))
+    @example(pair=(0, 1), other=F(0))
+    @example(pair=(-7, 1), other=F(1, 2 ** 32))
+    @example(pair=(3 ** 6_400, 2 ** 10_050), other=F(-1, 2 ** 10_050 + 1))
+    def test_exact_sum_reads_the_reduced_fraction(self, pair, other):
+        want = F(*pair)
+        for term in (want, pickle.loads(pickle.dumps(want)), copy.deepcopy(want), copy.copy(want)):
+            assert _exact_sum([term]).as_integer_ratio() == pair
+            assert _exact_sum([term, other]) == want + other
+            assert _exact_sum([other, term, term]) == other + 2 * want
 
 
 class TestAsElement:

@@ -12,6 +12,7 @@ from seqaccel import (
     NumStream,
     Undefined,
     UndefinedReason,
+    catalan_stream,
     forward_difference,
     from_function,
     from_values,
@@ -482,6 +483,19 @@ class TestPartialSumsDifferential:
         finally:
             gc.enable()
 
+    def test_read_catalan_cells_are_freed_without_the_cycle_collector(self):
+        # A Catalan cell steps from a neighbour read through the cache, not
+        # the stream, so no reference cycle keeps the stream alive.
+        gc.collect()
+        gc.disable()
+        try:
+            cells = catalan_stream()
+            cells.at(800), cells.at(799)
+            del cells
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_cell_above_an_undefined_cell_is_not_a_start(self):
         u = Undefined(UndefinedReason.INDETERMINATE_ZERO_OVER_ZERO)
         values = [F(1), F(2), u, F(4), F(5)]
@@ -500,9 +514,10 @@ def sums_agree_with_oracle(values, reads):
 
 
 class TestPartialSumsRuns:
-    """Gap sums fold small-denominator terms into gcd-free runs of 16."""
+    """Gap sums halve down to leaves of up to 64 terms, which fold
+    small-denominator terms with no gcd."""
 
-    @pytest.mark.parametrize("gap", [1, 15, 16, 17, 33, 1000])
+    @pytest.mark.parametrize("gap", [1, 15, 16, 17, 33, 63, 64, 65, 129, 1000])
     def test_gap_lengths_match_the_oracle(self, gap):
         rng = random.Random(gap)
         values = [F(rng.randint(-9, 9), rng.choice((1, 3, 2 ** 31 + 11, 2 ** 40 + 1, 2 ** 64)))
@@ -527,9 +542,32 @@ class TestPartialSumsRuns:
     def test_series_match_the_oracle(self, values):
         sums_agree_with_oracle(values, [len(values) - 1, 17, 16, 0, len(values) // 2])
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_exact_sum_is_the_sequential_sum_or_the_first_undefined(self, seed):
+        rng = random.Random(seed)
+        def denominator():  # below, at and above the 2**32 gate
+            return rng.choice((rng.randint(1, 60), 2 ** 31 + 11, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1,
+                               3 ** 40, 2 ** 64 + rng.randint(0, 9)))
+
+        values = [F(rng.randint(-10 ** 12, 10 ** 12), denominator())
+                  for _ in range(rng.randint(1, 400))]
+        want = sum(values, F(0))
+        got = streams._exact_sum(values)
+        assert type(got) is Fraction and got == want
+        if seed % 2:  # undefined terms at random positions: the first one is the sum
+            for _ in range(rng.randint(1, 3)):
+                values[rng.randrange(len(values))] = rng.choice(UNDEFINED_TERMS)
+            first = next(v for v in values if not is_defined(v))
+            assert streams._exact_sum(values) is first
+
+    def test_int_terms_sum_as_fractions(self):
+        # A function's terms need not be Fractions; the leaves read Fraction slots.
+        total = partial_sums(from_function(lambda i: i, 100)).at(99)
+        assert type(total) is Fraction and total == 4950
+
     def test_runs_are_gated_on_denominator_size(self, monkeypatch):
-        # Ungated runs of 1/i! multiply unreduced factorials: the largest gcd
-        # operand grows to ~16x the result's denominator (and the sum ~100x slower).
+        # Ungated leaves of 1/i! multiply unreduced factorials: the largest gcd
+        # operand grows many times the result's denominator (and the sum ~100x slower).
         largest = 0
         gcd = streams.gcd
 
