@@ -212,13 +212,13 @@ _RUN_DENOMINATOR = 1 << 32  # a leaf adds a term with no gcd only below this den
 
 
 def _exact_sum(values: list[Element]) -> Element:
-    """Exact sum of a nonempty list, reduced once at the root; or its first
-    `Undefined`, summing nothing after it."""
+    """Exact sum of a nonempty list, each term as a Fraction, reduced once at
+    the root; or its first `Undefined`, summing nothing after it."""
     try:
         return Fraction(*_halves(values, 0, len(values)))
-    except AttributeError:  # an Undefined, or a term that is not a Fraction
+    except AttributeError:  # an Undefined, or a term that is not a Fraction, such as an int
         u = first_undefined(*values)
-        return sum(values, Fraction(0)) if u is None else u
+        return u or Fraction(*_halves(list(map(Fraction, values)), 0, len(values)))
 
 
 def _halves(values: list[Element], lo: int, hi: int) -> tuple[int, int]:

@@ -560,10 +560,24 @@ class TestPartialSumsRuns:
             first = next(v for v in values if not is_defined(v))
             assert streams._exact_sum(values) is first
 
-    def test_int_terms_sum_as_fractions(self):
-        # A function's terms need not be Fractions; the leaves read Fraction slots.
+    def test_int_terms_sum_as_fractions(self, monkeypatch):
+        # A function's terms need not be Fractions; the leaves read Fraction
+        # slots. One int among Fractions must not send the whole list to a
+        # term-by-term sum, which reduces by a gcd at every step.
         total = partial_sums(from_function(lambda i: i, 100)).at(99)
         assert type(total) is Fraction and total == 4950
+        halves, summed = streams._halves, []
+
+        def spy(values, lo, hi):
+            p, q = halves(values, lo, hi)
+            summed.append((lo, hi))
+            return p, q
+
+        monkeypatch.setattr(streams, "_halves", spy)
+        terms = [1] + [Fraction(1, i + 1) for i in range(1, 1000)]
+        total = streams._exact_sum(terms)
+        assert type(total) is Fraction and total == sum(terms, Fraction(0))
+        assert (0, 1000) in summed
 
     def test_runs_are_gated_on_denominator_size(self, monkeypatch):
         # Ungated leaves of 1/i! multiply unreduced factorials: the largest gcd
