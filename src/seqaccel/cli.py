@@ -70,13 +70,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, pipeline) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--method", choices=["ealg", "levin"], default="levin",
+        p.add_argument("--method", choices=[m.value for m in Method], default="levin",
                        help="accelerator family (default: levin)")
-        p.add_argument("--kind", choices=["t", "u", "v"], default="u",
+        p.add_argument("--kind", choices=[k.value for k in Kind], default="u",
                        help="remainder model (default: u)")
         p.add_argument("--order", type=_at_least(0), default=2,
                        help="transform order, any k >= 0 (default: 2)")
-        p.add_argument("--g-convention", choices=["text", "code"], default="text",
+        p.add_argument("--g-convention", choices=[c.value for c in GConvention], default="text",
                        help="order-0 weight convention for ealg (default: text)")
         p.add_argument("--terms", type=_at_least(0),
                        help="number of input terms to take (take-last mode only, where it is "

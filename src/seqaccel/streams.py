@@ -8,7 +8,7 @@ stream is finite and reading past the end yields
 throughout; combinators that need the classic 1-based position n use
 n = i + 1. Each pipeline stage is one stream that reads its input's
 cells directly, with no shifted view of the input in between: one cell
-by `at`, or a range of them by `window`, which reads as `at` would.
+by `at`, or the first n of them by `prefix`, which reads as `at` would.
 
 Streams are safe to read from several threads: the cell cache is
 write-once (the first computed value for an index is the one every
@@ -64,22 +64,17 @@ class NumStream:
             cell = self._cache.setdefault(i, self._compute(i))
         return cell
 
-    def window(self, lo: int, hi: int) -> list[Element]:
-        """What `[self.at(i) for i in range(lo, hi)]` returns, forcing the same
-        cells in the same order, in one call instead of one per cell."""
-        if lo < 0 or type(self).at is not NumStream.at:  # an override of `at` sees every read
-            return list(map(self.at, range(lo, hi)))
-        end = hi if self._length is None else min(hi, self._length)
+    def prefix(self, n: int) -> list[Element]:
+        """The first n cells (fewer if the stream is shorter), each forced as `at`
+        would force it, in index order, in one call instead of one per cell."""
+        end = n if self._length is None else min(n, self._length)
+        if type(self).at is not NumStream.at:  # an override of `at` sees every read
+            return list(map(self.at, range(end)))
         cache, compute, cells = self._cache, self._compute, []
-        for i in range(lo, end):
+        for i in range(end):
             cell = cache.get(i)
             cells.append(cache.setdefault(i, compute(i)) if cell is None else cell)
-        cells += map(self.at, range(max(lo, end), hi))
         return cells
-
-    def prefix(self, n: int) -> list[Element]:
-        """The first n cells as a list (shorter if the stream is)."""
-        return self.window(0, n if self._length is None else min(n, self._length))
 
     def to_list(self) -> list[Element]:
         if self._length is None:
@@ -114,7 +109,7 @@ class _View(NumStream):
     """The first `length` cells of s, read through s's own cache.
 
     The view keeps no cells: a cached cell comes from s's cache, any other
-    from s.at, which caches it there. A range comes from one s.window on
+    from s.at, which caches it there. A prefix comes from one s.prefix on
     the same cache, except where s overrides `at` or is itself a view:
     there each cell is read as by `at`, so s sees the calls it would.
     `highest` is the highest index read, exact for a single reader.
@@ -135,12 +130,12 @@ class _View(NumStream):
         cell = self._cache.get(i)
         return self._compute(i) if cell is None else cell
 
-    def window(self, lo: int, hi: int) -> list[Element]:
-        end = hi if self._length is None else min(hi, self._length)
-        if lo < 0 or lo >= end or type(self._source).at is not NumStream.at:
-            return list(map(self.at, range(lo, hi)))
+    def prefix(self, n: int) -> list[Element]:
+        end = n if self._length is None else min(n, self._length)
+        if type(self._source).at is not NumStream.at:
+            return list(map(self.at, range(end)))
         self.highest = max(self.highest, end - 1)
-        return self._source.window(lo, end) + list(map(self.at, range(end, hi)))
+        return self._source.prefix(end)
 
 
 def take(s: NumStream, n: int) -> NumStream:
@@ -177,7 +172,7 @@ def partial_sums(s: NumStream) -> NumStream:
     cell i + 1 less s[i+1], when that term is defined; else, if a sum
     from nothing met the first undefined term u and read past i >= u,
     the poisoned cell; else the sum of s[0..i] from nothing, in one
-    `s.window` call. So walking down costs at most one term per cell.
+    `s.prefix` call. So walking down costs at most one term per cell.
     Values and forced terms are those of a sequential sum: every term up
     to i, each read once. The first undefined term poisons its own cell
     and every later one: cell 0 is then the term itself, any other cell
@@ -196,7 +191,7 @@ def partial_sums(s: NumStream) -> NumStream:
             if (above := cells.get(i + 1)) is not None and is_defined(term := s.at(i + 1)):
                 return sub(above, term)
             if i not in poisoned:
-                total = _exact_sum(terms := s.window(0, i + 1))
+                total = _exact_sum(terms := s.prefix(i + 1))
                 if is_defined(total):
                     return total
                 poisoned, poison = range(terms.index(total), i + 1), propagated(total)

@@ -257,6 +257,15 @@ class TestUsageErrors:
         assert code == 1
         assert "order" in err.lower()
 
+    @pytest.mark.parametrize("option,enum", [
+        ("--method", Method), ("--kind", Kind), ("--g-convention", GConvention)])
+    def test_invalid_choice_lists_the_enum_values(self, capsys, option, enum):
+        code, _, err = run_cli(capsys, "table", option, "bogus", "--generator", "catalan",
+                               "--terms", "3")
+        assert code == 1
+        listed = err.rsplit("(choose from ", 1)[1].rstrip(")\n")
+        assert listed.replace("'", "").split(", ") == [member.value for member in enum]
+
     def test_bad_mode_string(self, capsys):
         code, _, err = run_cli(
             capsys,

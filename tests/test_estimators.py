@@ -232,14 +232,14 @@ class TestSumSeries:
         # down all of them. Each step reads one term, not a sum from term 0:
         # where term i + 1 is undefined too, cell i is known poisoned from
         # the first sum, which read every term.
-        class WindowCounting(NumStream):
-            def window(self, lo, hi):
-                self.cells_read += hi - lo
-                return super().window(lo, hi)
+        class PrefixCounting(NumStream):
+            def prefix(self, n):
+                self.cells_read += n
+                return super().prefix(n)
 
         n = 3000
         div0 = Undefined(UndefinedReason.DIV_BY_ZERO)
-        terms = WindowCounting(lambda i: div0 if undefined(i) else F((-1) ** i, i + 1), n)
+        terms = PrefixCounting(lambda i: div0 if undefined(i) else F((-1) ** i, i + 1), n)
         terms.cells_read = 0
         report = sum_series(spec, terms, n)
         assert (report.rendered, report.digits_stable, report.terms_used) == (rendered, 10, n)

@@ -76,6 +76,10 @@ class TestAt:
         with pytest.raises(ValueError, match="^cannot list an infinite stream$"):
             iota(1, 1).to_list()
 
+    def test_repr_names_the_extent(self):
+        assert repr(iota(0, 1)) == "<NumStream length=inf>"
+        assert repr(from_values([1, 2, 3])) == repr(take(iota(0, 1), 3)) == "<NumStream length=3>"
+
     def test_memoization_computes_each_cell_once(self):
         s, calls = counting_source([F(3), F(5), F(8)])
         for _ in range(4):
@@ -234,7 +238,7 @@ class _LoggedAt(NumStream):
         return super().at(i)
 
 
-window_cells = st.one_of(
+prefix_cells = st.one_of(
     st.fractions(min_value=-9, max_value=9, max_denominator=9),
     st.sampled_from([Undefined(UndefinedReason.DIV_BY_ZERO),
                      Undefined(UndefinedReason.PROPAGATED_FROM_INPUT,
@@ -242,23 +246,21 @@ window_cells = st.one_of(
 )
 
 
-class TestWindow:
-    """`window(lo, hi)` is `[at(i) for i in range(lo, hi)]`, side effects included."""
+class TestPrefix:
+    """`prefix(n)` is `[at(i) for i in range(min(n, length))]`, side effects included."""
 
     @given(data=st.data())
-    def test_window_matches_per_cell_reads(self, data):
+    def test_prefix_matches_per_cell_reads(self, data):
         shape = data.draw(st.sampled_from(
             ["stream", "from_values", "view", "take", "take_of_take"]))
-        values = data.draw(st.lists(window_cells, min_size=1, max_size=12))
+        values = data.draw(st.lists(prefix_cells, min_size=1, max_size=12))
         length = data.draw(st.none() | st.integers(0, 12))
         counts = data.draw(st.tuples(st.integers(0, 14), st.integers(0, 14)))
         override = data.draw(st.booleans())
-        # Earlier reads leave the range partly cached: (through the base?, index).
+        # Earlier reads leave the prefix partly cached: (through the base?, index).
         earlier = data.draw(st.lists(st.tuples(st.booleans(), st.integers(0, 16)), max_size=6))
-        lo = data.draw(st.integers(0, 16))
-        hi = lo + data.draw(st.integers(-1, 14))
 
-        def run(read):
+        def build():
             log = []
 
             def compute(i):
@@ -273,6 +275,10 @@ class TestWindow:
                       "view": lambda: streams._View(base, length),
                       "take": lambda: take(base, counts[0]),
                       "take_of_take": lambda: take(take(base, counts[0]), counts[1])}[shape]()
+            return base, stream, log
+
+        def run(read):
+            base, stream, log = build()
             views = [stream] if isinstance(stream, streams._View) else []
             if shape == "take_of_take":
                 views.append(stream._source)
@@ -281,35 +287,31 @@ class TestWindow:
             cells = read(stream)
             return [(type(c), c) for c in cells], log, [v.highest for v in views]
 
-        per_cell = run(lambda s: [s.at(i) for i in range(lo, hi)])
-        assert run(lambda s: s.window(lo, hi)) == per_cell
+        extent = build()[1].length
+        n = data.draw(st.integers(0, 14 if extent is None else extent + 2))
+        end = n if extent is None else min(n, extent)
+        per_cell = run(lambda s: [s.at(i) for i in range(end)])
+        assert run(lambda s: s.prefix(n)) == per_cell
         event(f"{shape}, {len(per_cell[0])} cells")
 
-    def test_negative_start_rejected(self):
-        for s in (iota(0, 1), from_values([1, 2]), take(iota(0, 1), 3)):
-            with pytest.raises(ValueError):
-                s.window(-1, 2)
-            assert s.window(-1, -1) == []
+    def test_view_reads_its_prefix_in_one_call(self):
+        class LoggedPrefix(NumStream):
+            def prefix(self, n):
+                prefixes.append(n)
+                return super().prefix(n)
 
-    def test_view_reads_its_range_in_one_call(self):
-        class LoggedWindow(NumStream):
-            def window(self, lo, hi):
-                windows.append((lo, hi))
-                return super().window(lo, hi)
-
-        windows = []
-        src = LoggedWindow(F)
+        prefixes = []
+        src = LoggedPrefix(F)
         src.at(4), src.at(7)
         view = take(src, 10)
-        assert view.window(2, 12) == [F(i) for i in range(2, 10)] + [
-            Undefined(UndefinedReason.OUT_OF_RANGE)] * 2
-        assert windows == [(2, 10)] and view.highest == 9
+        assert view.prefix(12) == [F(i) for i in range(10)]
+        assert prefixes == [10] and view.highest == 9
         # A partial sum from nothing reads its terms in one call; one from the
         # cell below reads its own term by `at`.
-        windows.clear()
+        prefixes.clear()
         sums = partial_sums(src)
-        assert sums.at(99) == sum(range(100)) and windows == [(0, 100)]
-        assert sums.at(100) == sum(range(101)) and windows == [(0, 100)]
+        assert sums.at(99) == sum(range(100)) and prefixes == [100]
+        assert sums.at(100) == sum(range(101)) and prefixes == [100]
 
 
 class TestConcurrency:
