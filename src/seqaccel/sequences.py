@@ -6,8 +6,9 @@ classical divergent series, and the Leibniz series for pi/4 as a
 convergent benchmark. Values are always computed, never hard-coded.
 Both integer sequences are defined by an O(n^2) convolution but computed
 by recurrences: plain lambda counts step up from the seed, a Catalan cell
-from a neighbour in its stream's cache or else by the binomial closed
-form. The tests check each generator against its defining convolution
+from a neighbour in its stream's cache or else by the closed form
+C(2n, n)/(n+1), C(2n, n) a product of prime powers with no big division.
+The tests check each generator against its defining convolution
 (`tests/oracles.py`), and Catalan also against the closed form. Leibniz
 terms are built in lowest terms with no gcd, which is exact: +-1 is
 coprime to every 2j + 1.
@@ -22,10 +23,33 @@ from __future__ import annotations
 import threading
 from collections.abc import Callable
 from fractions import Fraction
-from math import comb
+from itertools import compress
+from math import isqrt, prod
 
 from .scalars import Undefined, UndefinedReason, parse_scalar
 from .streams import NumStream, from_function, from_values
+
+
+def _central_binomial(n: int) -> int:
+    """C(2n, n) as a product of prime powers, with no big division.
+
+    By Kummer's theorem an odd prime p <= sqrt(2n) divides it
+    sum_j (floor(2n/p^j) - 2 floor(n/p^j)) times, 2 once per 1 bit of n,
+    and a prime p above sqrt(2n) once where floor(2n/p) is odd, else not:
+    so every prime in (n, 2n] divides it once.
+    """
+    m, root = 2 * n, isqrt(2 * n)
+    is_prime = bytearray([0]) + bytearray([1]) * (n - 1)  # is_prime[i]: 2i + 1 is prime
+    factors = [2 ** n.bit_count()]
+    for p in compress(range(1, root + 1, 2), is_prime):  # sees each strike: p is prime
+        is_prime[p * p // 2::p] = bytes((n - 1 - p * p // 2) // p + 1)
+        e, q = 0, p
+        while q <= m:
+            e, q = e + m // q - 2 * (n // q), q * p
+        factors.append(p**e)
+    lo, mid = (root + 1) // 2, (n + 1) // 2  # the first odd numbers above root and above n
+    factors += [p for p in compress(range(2 * lo + 1, n + 1, 2), is_prime[lo:mid]) if m // p & 1]
+    return prod(compress(range(2 * mid + 1, m, 2), is_prime[mid:])) * prod(factors)
 
 
 def catalan_stream() -> NumStream:
@@ -33,14 +57,15 @@ def catalan_stream() -> NumStream:
 
     Defined by C[0] = 1, C[n] = sum_{j<n} C[j]*C[n-1-j]. A read steps from a
     neighbour already in the stream's own cache, C[n] = C[n-1] * 2(2n-1) / (n+1),
-    or takes C(2n, n) / (n+1). Cached cells never change, so no lock is needed.
+    or takes C(2n, n) / (n+1): a product of prime powers, then one small
+    division. Cached cells never change, so no lock is needed.
     """
     def compute(n: int) -> Fraction:
         if (below := cells.get(n - 1)) is not None:
             return Fraction(below.numerator * 2 * (2 * n - 1) // (n + 1))
         if (above := cells.get(n + 1)) is not None:
             return Fraction(above.numerator * (n + 2) // (2 * (2 * n + 1)))
-        return Fraction(comb(2 * n, n) // (n + 1))
+        return Fraction(_central_binomial(n) // (n + 1))
 
     s = NumStream(compute)
     cells = s._cache  # the cache, not the stream: no cycle keeps the stream alive
@@ -67,20 +92,17 @@ def plain_lambda_terms_stream() -> NumStream:
 
     def compute(i: int) -> Fraction:
         with lock:
-            while len(v) <= i:
-                n = len(v) - 6
-                total = (
-                    (2 * n + 14) * v[n + 5]
-                    + (n + 4) * v[n + 4]
-                    - (4 * n + 16) * v[n + 3]
-                    + (5 * n + 12) * v[n + 2]
-                    - (2 * n + 4) * v[n + 1]
-                    - n * v[n]
-                )
-                count, remainder = divmod(total, n + 8)
-                if remainder:
-                    raise ArithmeticError(f"plain-lambda recurrence not exact at index {n + 6}")
-                v.append(count)
+            if len(v) <= i:
+                s0, s1, s2, s3, s4, s5 = v[-6:]  # S[n], ..., S[n+5] for n = len(v) - 6
+                for n in range(len(v) - 6, i - 5):
+                    total = ((2 * n + 14) * s5 + (n + 4) * s4 - (4 * n + 16) * s3
+                             + (5 * n + 12) * s2 - (2 * n + 4) * s1 - n * s0)
+                    count, remainder = divmod(total, n + 8)
+                    if remainder:
+                        raise ArithmeticError(
+                            f"plain-lambda recurrence not exact at index {n + 6}")
+                    v.append(count)
+                    s0, s1, s2, s3, s4, s5 = s1, s2, s3, s4, s5, count
             return Fraction(v[i])
 
     return NumStream(compute)

@@ -64,6 +64,15 @@ class TestCatalan:
         for n in [0, 1, 600, *random.Random(16).sample(range(601), 30)]:
             assert catalan_stream().at(n) == want[n]
 
+    def test_cold_reads_match_the_binomial(self):
+        # A cold cell is built from prime powers; 2n next to a prime square
+        # puts a prime on either side of the sqrt(2n) cut.
+        squares = [p * p for p in range(2, 100) if all(p % d for d in range(2, p))]
+        near_squares = {(sq + d) // 2 for sq in squares for d in range(-2, 3) if (sq + d) % 2 == 0}
+        seeded = random.Random(31).sample(range(700, 50_001), 20)
+        for n in sorted({*range(701), *near_squares, *seeded}):
+            assert catalan_stream().at(n) == math.comb(2 * n, n) // (n + 1), n
+
     @pytest.mark.parametrize("order", ["random", "descending", "strided"])
     def test_any_read_order_matches_the_product_recurrence(self, order):
         # Cold cells come from the binomial, cells next to a known one by a
@@ -116,6 +125,13 @@ class TestPlainLambdaTerms:
             n = rng.randint(0, 500)
             convolution = sum(s.at(k) * s.at(n - k) for k in range(n + 1))
             assert s.at(n + 2) == 1 + s.at(n) + convolution
+
+    def test_resumed_walks_match_the_oracle(self):
+        # Each read past the list's end seeds the recurrence from its last six counts.
+        want = oracles.plain_lambda_list(1201)
+        s = plain_lambda_terms_stream()
+        for n in (7, 6, 300, 1200):
+            assert s.at(n) == want[n], n
 
     def test_against_convolution_oracle_to_1200(self):
         assert plain_lambda_terms_stream().prefix(1200) == oracles.plain_lambda_list(1200)
