@@ -49,7 +49,11 @@ def _central_binomial(n: int) -> int:
         factors.append(p**e)
     lo, mid = (root + 1) // 2, (n + 1) // 2  # the first odd numbers above root and above n
     factors += [p for p in compress(range(2 * lo + 1, n + 1, 2), is_prime[lo:mid]) if m // p & 1]
-    return prod(compress(range(2 * mid + 1, m, 2), is_prime[mid:])) * prod(factors)
+    factors += compress(range(2 * mid + 1, m, 2), is_prime[mid:])  # every prime in (n, 2n]
+    width = 128  # a product tree: leaves of 128 factors, then pairs, so operands stay balanced
+    while len(factors) > 1:
+        factors, width = [prod(factors[j:j + width]) for j in range(0, len(factors), width)], 2
+    return factors[0]
 
 
 def catalan_stream() -> NumStream:

@@ -20,36 +20,31 @@ applying a higher order. It saves work, not reads: E-algorithm cell i
 of order k >= 1 reads s[i..i+k+1] (kinds t, u) or s[i..i+k+2] (v).
 
 Both families compute cell i of order k >= 1 with one kernel,
-`_weighted_ratio`: Δᵏ[n^(k-1)·w·t] / Δᵏ[n^(k-1)·w] at n = n0, one
-weighted sum of integers and one `Fraction`. Levin has t = s, w = 1/R
-and n0 = i; where R[i..i+k] has zeros, the cell is s[i+j] for a lone
-zero R[i+j] (`zero-over-zero` if (i+j)^(k-1) = 0) and `zero-over-zero`
-for two or more. An E-algorithm cell is a ratio of two determinants
-(Brezinski 1980), and these weights solve the model exactly (Sidi 2003),
-so the kernel evaluates that ratio: t is the top column (s, or g(0, j)
-for `g_algorithm`), and w = 1/R with n0 = i + 1 (TEXT, Levin's model
-with n = x + 1) or w = R with no power of n (CODE). Each cell first
-reads R[i..i+k] and t there; if all are defined, R has no zero and the
-ratio's denominator is nonzero, the kernel computes the cell. The
-recursive table gives the same value wherever none of its pivots is
-zero; where an intermediate pivot vanishes but the ratio exists, the
-cell is the ratio. The table is the route for degenerate windows only
-(an undefined cell, a zero R or a zero denominator): it builds its first
-level from the window the cell read, and every cell above that comes
-from the one elimination step above. Where the window's system is
-singular, a defined cell is one limit that the window fits. Both routes
-read the same window once, from cached streams, and no window is kept
-between cells: s or the top column, Δs, and R over Δs (`_remainder`;
-kind t's R is Δs). The same Δs cells give the kernel's Δt (g(0, j)
-differences its window). Each input cell is forced once, in a full
-read's order.
+`_weighted_ratio`: Δᵏ[n^(k-1)·w·t] / Δᵏ[n^(k-1)·w] at n = n0, one weighted sum
+of integers and one `Fraction`. Levin has t = s, w = 1/R and n0 = i. An
+E-algorithm cell is a ratio of two determinants (Brezinski 1980), and these
+weights solve the model exactly (Sidi 2003): t is the top column (s, or
+g(0, j) for `g_algorithm`), and w = 1/R with n0 = i + 1 (TEXT) or w = R with
+no power of n (CODE). A cell reads one window of Δs, and the weights come from
+it alone (`_delta_weights`): 1/R is 1/Δs[x] (t), 1/((x+1)·Δs[x]) (u) or
+1/Δs[x] - 1/Δs[x+1] (v). The same cells are s's differences (g(0, j)
+differences its window). Only a degenerate window reads R (`_remainder`): an
+undefined or zero Δs, equal neighbours (v), or a zero E-algorithm denominator.
+Levin then gives s[i+j] for a lone zero R[i+j] (`zero-over-zero` if
+(i+j)^(k-1) = 0) and `zero-over-zero` for more; the E-algorithm takes the
+table, which has the ratio's value wherever no pivot is zero. Where a pivot
+vanishes but the ratio exists, the cell is the ratio; where the window's
+system is singular, a defined cell is one limit that the window fits. Along a
+stream a cell makes k + 5 `NumStream.at` calls (k + 6 for kind v), keeps no
+window, and forces each input cell once, as its Δs window reads them.
 """
 from __future__ import annotations
 
 from collections import namedtuple
 from enum import Enum
+from itertools import pairwise
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 from .scalars import (
     Element,
@@ -156,81 +151,117 @@ def _eliminate(a: tuple, b: tuple) -> tuple:
     return tuple(row)
 
 
+def _over_lcm(nums: list[int], dens: list[int]) -> list[int]:
+    """n/d for each pair, all times the lcm of the d: integers with one common factor."""
+    m = lcm(*dens)
+    return [n * (m // d) for n, d in zip(nums, dens)]
+
+
 def _reciprocals(cells: list) -> list[int]:
-    """1/c for each nonzero rational c, times one common integer v > 0."""
-    v = lcm(*(c.numerator for c in cells))
-    return [c.denominator * (v // c.numerator) for c in cells]
+    """1/c for each nonzero rational (or integer) c, times one common integer v > 0."""
+    return _over_lcm([c.denominator for c in cells], [c.numerator for c in cells])
 
 
-def _closed_form(i: int, r_win: list, t_win: list, text: bool, dt=None) -> Fraction | None:
-    """Cell i of level k = len(r_win) - 1 by `_weighted_ratio`, or None.
-
-    Text: w = 1/R, n0 = i + 1; code: w = R, no power of n; t is the top
-    column on R[i..i+k]'s window, and dt its k differences (or None). None
-    where a cell of the window is undefined, R is 0, or the ratio's
-    denominator is 0: the table computes those cells.
-    """
-    if first_undefined(*r_win, *t_win) or not all(r_win):
+def _delta_weights(kind: Kind, i: int, dw: list, text: bool) -> list[int] | None:
+    """1/R[i..i+k] (text) or R (code) from Δs[i..] = dw alone, times one integer; None
+    where a Δs cell is undefined or 0, or (v) two neighbours are equal: R is undefined or 0."""
+    try:  # an Undefined has no such slots
+        ps, qs = [c._numerator for c in dw], [c._denominator for c in dw]
+    except AttributeError:
         return None
-    if text:
-        ws = _reciprocals(r_win)  # 1/R
-    else:  # R, times the lcm of its denominators
-        d = lcm(*(c.denominator for c in r_win))
-        ws = [c.numerator * (d // c.denominator) for c in r_win]
+    if 0 in ps:
+        return None
+    if kind is Kind.U:
+        ps = [p * n for n, p in enumerate(ps, i + 1)]
+    elif kind is Kind.V and text:  # 1/R = 1/Δs[x] - 1/Δs[x+1]
+        ws = [a - b for a, b in pairwise(_over_lcm(qs, ps))]
+        return None if 0 in ws else ws
+    elif kind is Kind.V:  # R = ab/(by - az) for Δs[x] = a/y and Δs[x+1] = b/z
+        qs = [b * y - a * z for (a, y), (b, z) in pairwise(zip(ps, qs))]
+        return None if 0 in qs else _over_lcm([a * b for a, b in pairwise(ps)], qs)
+    return _over_lcm(qs, ps) if text else _over_lcm(ps, qs)
+
+
+def _closed_form(i: int, ws: list | None, t_win: list, text: bool, dt, signs) -> Fraction | None:
+    """Cell i by `_weighted_ratio`, or None where ws (1/R for text, with n0 = i + 1; R for
+    code) is None, a cell of t_win (the top column, or its first cell) is undefined, or the
+    ratio's denominator is 0. dt holds t's differences on the window, or is None."""
+    if ws is None or first_undefined(*t_win):
+        return None
     dt = dt or [b - a for a, b in zip(t_win, t_win[1:])]
-    value = _weighted_ratio(ws, t_win[0], dt, i + 1 if text else None)
+    value = _weighted_ratio(ws, t_win[0], dt, i + 1 if text else None, signs)
     return None if isinstance(value, Undefined) else value
 
 
-def _weighted_ratio(ws: list[int], t0: Fraction, dt: list, n0: int | None) -> Element:
+def _weighted_ratio(ws: list[int], t0: Fraction, dt: list, n0: int | None, signs) -> Element:
     """t[0] + Σⱼ Wⱼ·wⱼ·(t[j] - t[0]) / Σⱼ Wⱼ·wⱼ over j = 0..k = len(ws) - 1.
 
-    Wⱼ = (-1)^(k-j) C(k, j), times (n0 + j)^(k-1) unless n0 is None: the
-    ratio Δᵏ[n^(k-1)·w·t] / Δᵏ[n^(k-1)·w] at n = n0, or Δᵏ[w·t] / Δᵏ[w].
-    t[j] - t[0] runs up the differences dt in integers over one denominator
-    (small where t[0] is a large rational), then one `Fraction` is added
-    to t[0]; a zero denominator is undefined as in `div`.
+    Wⱼ = signs[j] = (-1)^(k-j) C(k, j), times (n0 + j)^(k-1) unless n0 is
+    None: the ratio Δᵏ[n^(k-1)·w·t] / Δᵏ[n^(k-1)·w] at n = n0, or
+    Δᵏ[w·t] / Δᵏ[w]. t[j] - t[0] runs up the differences dt in integers
+    over one denominator (small where t[0] is a large rational), then one
+    `Fraction` is added to t[0]; a zero denominator is undefined as in `div`.
     """
+    try:
+        e = lcm(*(c._denominator for c in dt))
+    except AttributeError:  # an int cell, which is no `Element`: read each as a Fraction
+        return _weighted_ratio(ws, t0, list(map(Fraction, dt)), n0, signs)
     k = len(ws) - 1
-    weighted = [(-1) ** (k - j) * comb(k, j) * w * (1 if n0 is None else (n0 + j) ** (k - 1))
-                for j, w in enumerate(ws)]
-    e = lcm(*(c.denominator for c in dt))
+    weighted = [b * w * (1 if n0 is None else (n0 + j) ** (k - 1))
+                for j, (b, w) in enumerate(zip(signs, ws))]
     num = run = 0
     for w, c in zip(weighted[1:], dt):
-        run += c.numerator * (e // c.denominator)  # (t[j] - t[0])·e
+        run += c._numerator * (e // c._denominator)  # (t[j] - t[0])·e
         num += w * run
     den = e * sum(weighted)
-    return t0 + Fraction(num, den) if den else div(num, den)
+    return _plus(t0, num, den) if den else div(num, den)
+
+
+def _plus(t0: Fraction, num: int, den: int) -> Fraction:
+    """t0 + num/den (den != 0), reduced as `Fraction.__add__` reduces a sum: with a/b = t0
+    and g = gcd(b, den), only gcd(t, g) of t = a·(den/g) + num·(b/g) is left to divide out."""
+    g = gcd(num, den) if den > 0 else -gcd(num, den)
+    num, den = num // g, den // g
+    a, b = t0.numerator, t0.denominator
+    g = gcd(b, den)
+    t, s = a * (den // g) + num * (b // g), b // g
+    g = gcd(t, g)
+    f = object.__new__(Fraction)  # in lowest terms already
+    f._numerator, f._denominator = t // g, s * (den // g)
+    return f
 
 
 def _table(kind: Kind, k: int, s: NumStream, convention: GConvention, j=None) -> NumStream:
     """Level k of the E-algorithm table; the top column is s, or g(0, j).
 
-    Output cell i reads R[i..i+k] and the top column there (its window), then
-    takes its closed form (`_closed_form`) wherever that determinant ratio
-    is defined, and the table otherwise: a window with an undefined cell,
-    a zero R or a zero denominator. The row at level m and index x holds
-    cell x of the top column and of g(m, m+1), ..., g(m, k); its second
-    entry is the pivot that level m + 1 eliminates. Level 0 is built from
-    the window the cell read; row x at level m >= 1 is `_eliminate` of
-    rows x and x+1 at level m - 1, so a table cell i fills the missing
-    rows i..i+k-m of each level m, bottom-up.
+    Cell i takes its closed form (`_closed_form`) wherever that determinant ratio is
+    defined; otherwise it reads R over its window and fills the table. Row x at level m
+    holds cell x of the top column and of g(m, m+1), ..., g(m, k), its second entry the
+    pivot of level m + 1; level 0 comes from the window the cell read, and row x at level
+    m >= 1 is `_eliminate` of rows x and x+1 below, for x = i..i+k-m, bottom-up.
     """
     d = forward_difference(s)
     r = _remainder(kind, s, d)
     top = s if j is None else NumStream(lambda x: _weight(j, x, r.at(x), convention), r.length)
-    text = convention is GConvention.TEXT
+    text, v = convention is GConvention.TEXT, kind is Kind.V
+    signs = [(-1) ** (k - x) * comb(k, x) for x in range(k + 1)]
     rows: list[dict[int, tuple]] = [{} for _ in range(k + 1)]
 
     def compute(i: int) -> Element:
         window = range(i, i + k + 1)
-        r_win = list(map(r.at, window))
-        t_win = list(map(top.at, window))
+        dw = list(map(d.at, range(i, i + k + 1 + v)))
+        t_win = [top.at(i)] if j is None else list(map(top.at, window))  # s[i]: Δs gives the rest
+        r_win = None
         if k:
-            dt = None if j else list(map(d.at, range(i, i + k)))
-            value = _closed_form(i, r_win, t_win, text, dt)
+            if not (ws := _delta_weights(kind, i, dw, text)):  # a degenerate window: R's cells
+                r_win = list(map(r.at, window))
+                if not first_undefined(*r_win) and all(r_win):
+                    ws = _reciprocals(r_win) if text else _reciprocals(_reciprocals(r_win))
+            value = _closed_form(i, ws, t_win, text, None if j else dw[:k], signs)
             if value is not None:
                 return value
+        r_win = r_win or list(map(r.at, window))
+        t_win += map(top.at, window[len(t_win):])
         for x, rx, tx in zip(window, r_win, t_win):
             if x not in rows[0]:  # rows are deterministic: write-once suffices
                 rows[0].setdefault(x, (tx, *(_weight(c, x, rx, convention)
@@ -299,14 +330,19 @@ def levin(kind: Kind, k: int, s: NumStream) -> NumStream:
         return s
     d = forward_difference(s)
     r = _remainder(kind, s, d)
+    v, signs = kind is Kind.V, [(-1) ** (k - x) * comb(k, x) for x in range(k + 1)]
 
     def compute(i: int) -> Element:
-        s_win = list(map(s.at, range(i, i + k + 1)))
-        if k == 1:  # R[i] alone first: the short-circuit leaves R[i+1] unread
-            (s0, s1), r0 = s_win, r.at(i)
+        if k == 1:  # R[i] alone first (for t and u, Δs[i] is 0 where R[i] is): R[i+1] unread
+            s0, s1, r0 = s.at(i), s.at(i + 1), (r if v else d).at(i)
             u = first_undefined(s0, s1, r0)
             if u or s1 == s0 or r0 == 0:  # Δs[i]·R[i] = 0
                 return propagated(u) if u else s0
+        t0 = s.at(i)
+        dw = list(map(d.at, range(i, i + k + 1 + v)))
+        if ws := _delta_weights(kind, i, dw, True):
+            return _weighted_ratio(ws, t0, dw[:k], i, signs)
+        s_win = list(map(s.at, range(i, i + k + 1)))
         r_win = list(map(r.at, range(i, i + k + 1)))
         u = first_undefined(s_win[k], *reversed(r_win[:k]), s_win[k - 1], r_win[k],
                             *reversed(s_win[:k - 1]))
@@ -315,6 +351,6 @@ def levin(kind: Kind, k: int, s: NumStream) -> NumStream:
         # ws[j] is ∏ R[i+m] over m != j, divided by the product of the nonzero R.
         lone_zero = r_win.count(0) == 1
         ws = [int(lone_zero and c == 0) for c in r_win] if 0 in r_win else _reciprocals(r_win)
-        return _weighted_ratio(ws, s_win[0], list(map(d.at, range(i, i + k))), i)
+        return _weighted_ratio(ws, t0, dw[:k], i, signs)
 
     return NumStream(compute, _extent(kind, s, k))

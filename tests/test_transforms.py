@@ -502,6 +502,100 @@ class TestClosedForm:
         assert served == {"table": 2 * 7 * 2 * 3}, served
 
 
+class TestDeltaRoute:
+    """Weights from the Δs window alone give the cells of the route through R's window."""
+
+    UNDEFINED = [DZ, ZZ, OOR, P(DZ), P(ZZ), P(OOR)]
+
+    def test_every_cell_matches_the_route_through_r(self, monkeypatch):
+        # Small spans give zeros, repeats, equal Δs neighbours and zero
+        # denominators; undefined cells of every reason and cause are mixed
+        # in. Each cell is read on a fresh pipeline, once as served and once
+        # with the Δs route switched off, so that every window reads R: the
+        # two agree on value, reason and cause, on the length, and on the
+        # input cells forced, in order.
+        weights, kernel = transforms._delta_weights, transforms._weighted_ratio
+        routes, from_delta = Counter(), False
+
+        def counted_weights(*args):
+            nonlocal from_delta
+            ws = weights(*args)
+            routes["Δs" if ws else "degenerate"] += 1
+            from_delta = bool(ws)
+            return ws
+
+        def counted_kernel(*args):
+            value = kernel(*args)
+            routes["Δs, zero denominator"] += from_delta and not is_defined(value)
+            return value
+
+        rng = random.Random(2032)
+        for _ in range(120):
+            k = rng.randint(1, 12)
+            values = random_stream_values(rng, rng.randint(k + 1, k + 7), rng.choice([1, 3, 9, 9]))
+            if rng.random() < 0.3:  # an arithmetic run: kind t's ratio has a zero denominator
+                values[:k + 3] = [F(x, 2) for x in range(k + 3)]
+            for x in rng.sample(range(len(values)), rng.choice([0, 0, 1, 2])):
+                values[x] = rng.choice(self.UNDEFINED)
+            kind, j = rng.choice(KINDS), rng.randint(1, k + 2)
+            builds = [lambda s: levin(kind, k, s)] + [
+                build for conv in CONVENTIONS
+                for build in (lambda s, conv=conv: e_algorithm(kind, k, s, conv),
+                              lambda s, conv=conv: g_algorithm(kind, k, j, s, conv))]
+
+            def read(build, i: int, delta_off: bool):
+                forced = []
+                out = build(NumStream(lambda x: forced.append(x) or values[x], len(values)))
+                with monkeypatch.context() as m:
+                    if delta_off:
+                        m.setattr(transforms, "_delta_weights", lambda *args: None)
+                    else:
+                        m.setattr(transforms, "_delta_weights", counted_weights)
+                        m.setattr(transforms, "_weighted_ratio", counted_kernel)
+                    cell = out.at(i)
+                return out.length, repr(cell), forced
+
+            for build in builds:
+                for i in range(len(values) - k + 1):
+                    assert read(build, i, False) == read(build, i, True), (values, kind, k, j, i)
+        assert all(routes[r] > 50 for r in ("Δs", "degenerate", "Δs, zero denominator")), routes
+
+    @pytest.mark.parametrize("kind", [Kind.T, Kind.U], ids=kind_code)
+    def test_int_cells_give_the_cells_of_their_fractions(self, kind):
+        # An int is no `Element`, and its Δs cells have no Fraction slots: such
+        # windows take the route through R, whose kernel reads them as Fractions.
+        ints = [(-1) ** i * (i * i + 3) + 2 * i for i in range(14)]
+        for build in (lambda s: levin(kind, 3, s), lambda s: e_algorithm(kind, 3, s),
+                      lambda s: e_algorithm(kind, 3, s, GConvention.CODE)):
+            want = build(from_values(ints)).to_list()
+            assert build(from_function(ints.__getitem__, len(ints))).to_list() == want
+
+    @pytest.mark.parametrize("k", [24, 40])
+    @pytest.mark.parametrize("kind", [Kind.U, Kind.V], ids=kind_code)
+    def test_high_orders_match_the_list_oracles(self, monkeypatch, kind, k):
+        # Leibniz partial sums, whose Δs numerators are all ±1, and a model
+        # sequence whose Δs numerators are not; every cell is defined.
+        plain, memo = oracles.galg_list, {}
+
+        def galg_list(*args):  # the oracle's recursion, evaluated once per argument
+            key = repr(args)
+            if key not in memo:
+                memo[key] = plain(*args)
+            return memo[key]
+
+        monkeypatch.setattr(oracles, "galg_list", galg_list)
+        sums = take(partial_sums(leibniz_pi4_terms()), k + 6).to_list()
+        model = [F(1, 3) + (-1) ** i * (F(5, i + 1) + F(7, (i + 1) ** 2)) for i in range(k + 6)]
+        for values in (sums, model):
+            want = oracles.levin_list(kind_code(kind), k, values)
+            assert levin(kind, k, from_values(values)).to_list() == want and None not in want
+            for conv in CONVENTIONS:
+                memo.clear()
+                want = oracles.ealg_list(kind_code(kind), k, values, conv.value)
+                got = e_algorithm(kind, k, from_values(values), conv).to_list()
+                assert got == want and None not in want, conv
+
+
 def _window_cases():
     """(name, k, build, oracle, ratio_kind) per transform, kind, convention and order 0-12.
 
@@ -632,9 +726,11 @@ class TestSlidingWindow:
 
     @pytest.mark.parametrize("k", [2, 3, 12])
     def test_reads_per_cell_along_a_stream(self, monkeypatch, k):
-        # Reading all 300 cells in order computes every cell of s, Δs and R
-        # exactly once: each window comes from the streams' own caches, and
-        # there is one Δs and one R per transform (kind t's R is Δs).
+        # Reading all 300 cells in order computes every cell of s and Δs
+        # exactly once and no cell of R: each window comes from the streams'
+        # own caches, there is one Δs per transform, and no window of these
+        # partial sums is degenerate, so every weight comes from Δs alone.
+        # Kind t's R is the Δs stream itself, so each Δs cell counts as R too.
         values = take(partial_sums(leibniz_pi4_terms()), 300 + k + 2).to_list()
         computed = Counter()
 
@@ -660,7 +756,7 @@ class TestSlidingWindow:
                 v = kind is Kind.V
                 assert computed == Counter(
                     [("s", x) for x in range(301 + k + v)] + [("Δs", x) for x in range(300 + k + v)]
-                    + [("R", x) for x in range(300 + k)]), (kind, k)
+                    + [("R", x) for x in range(300 + k) if kind is Kind.T]), (kind, k)
 
 
 class TestSharedTable:
