@@ -22,7 +22,6 @@ from .streams import (
     last_defined,
     partial_sums,
     take,
-    zip_with,
 )
 from .transforms import (
     GConvention,
@@ -33,7 +32,6 @@ from .transforms import (
     e_algorithm,
     g_algorithm,
     levin,
-    remainder_estimate,
 )
 from .sequences import (
     BUILTIN_SEQUENCES,

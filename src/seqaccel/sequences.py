@@ -27,7 +27,7 @@ from itertools import compress
 from math import isqrt, prod
 
 from .scalars import Undefined, UndefinedReason, parse_scalar
-from .streams import NumStream, from_function, from_values
+from .streams import NumStream, from_values
 
 
 def _central_binomial(n: int) -> int:
@@ -115,12 +115,12 @@ def plain_lambda_terms_stream() -> NumStream:
 def grandi_terms() -> NumStream:
     """Terms of 1 - 1 + 1 - 1 + ..."""
     one, minus_one = Fraction(1), Fraction(-1)
-    return from_function(lambda i: one if i % 2 == 0 else minus_one)
+    return NumStream(lambda i: one if i % 2 == 0 else minus_one)
 
 
 def alternating_naturals_terms() -> NumStream:
     """Terms 0, 1, -2, 3, -4, ... of the alternating-naturals series."""
-    return from_function(lambda i: Fraction(i) if i % 2 == 1 else Fraction(-i))
+    return NumStream(lambda i: Fraction(i) if i % 2 == 1 else Fraction(-i))
 
 
 def leibniz_pi4_terms() -> NumStream:
@@ -135,7 +135,7 @@ def leibniz_pi4_terms() -> NumStream:
         f._numerator, f._denominator = -1 if i & 1 else 1, 2 * i + 1
         return f
 
-    return from_function(term)
+    return NumStream(term)
 
 
 BUILTIN_SEQUENCES: dict[str, Callable[[], NumStream]] = {

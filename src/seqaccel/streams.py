@@ -2,6 +2,7 @@
 
 A `NumStream` is a potentially infinite sequence of `Element` cells,
 computed on demand and cached so that every cell is computed once.
+`from_function` and `from_values` coerce other values (`as_element`).
 Extent is explicit: `length is None` means infinite, otherwise the
 stream is finite and reading past the end yields
 `Undefined(OUT_OF_RANGE)` rather than raising. Indexing is 0-based
@@ -35,7 +36,11 @@ from .scalars import (
 
 
 class NumStream:
-    """On-demand sequence of Elements with a write-once cell cache."""
+    """On-demand sequence of Elements with a write-once cell cache.
+
+    `compute(i)` returns cell i as an `Element`, a `Fraction` or an
+    `Undefined`; `from_function` and `from_values` coerce other values.
+    """
 
     __slots__ = ("_compute", "_cache", "_length")
 
@@ -94,8 +99,9 @@ def from_values(values: Iterable) -> NumStream:
     return s
 
 
-def from_function(fn: Callable[[int], Element], length: int | None = None) -> NumStream:
-    return NumStream(fn, length)
+def from_function(fn: Callable[[int], object], length: int | None = None) -> NumStream:
+    """Stream whose cell i is fn(i) (an int, string, Fraction or Undefined) as an Element."""
+    return NumStream(lambda i: as_element(fn(i)), length)
 
 
 def iota(start, step) -> NumStream:
@@ -143,19 +149,6 @@ def take(s: NumStream, n: int) -> NumStream:
     if n < 0:
         raise ValueError(f"take count must be >= 0, got {n}")
     return _View(s, n if s.length is None else min(n, s.length))
-
-
-def _min_extent(a: int | None, b: int | None) -> int | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
-def zip_with(f: Callable[[Element, Element], Element], a: NumStream, b: NumStream) -> NumStream:
-    """Cell i is f(a[i], b[i]); extent is the shorter of the two."""
-    return NumStream(lambda i: f(a.at(i), b.at(i)), _min_extent(a.length, b.length))
 
 
 def forward_difference(s: NumStream) -> NumStream:
@@ -207,13 +200,14 @@ _RUN_DENOMINATOR = 1 << 32  # a leaf adds a term with no gcd only below this den
 
 
 def _exact_sum(values: list[Element]) -> Element:
-    """Exact sum of a nonempty list, each term as a Fraction, reduced once at
-    the root; or its first `Undefined`, summing nothing after it."""
+    """Exact sum of a nonempty list of Elements, reduced once at the root; or
+    its first `Undefined`, summing nothing after it."""
     try:
         return Fraction(*_halves(values, 0, len(values)))
-    except AttributeError:  # an Undefined, or a term that is not a Fraction, such as an int
-        u = first_undefined(*values)
-        return u or Fraction(*_halves(list(map(Fraction, values)), 0, len(values)))
+    except AttributeError:  # an Undefined has no Fraction slots
+        if u := first_undefined(*values):
+            return u
+        raise TypeError("a stream cell is not an Element (Fraction or Undefined)") from None
 
 
 def _halves(values: list[Element], lo: int, hi: int) -> tuple[int, int]:

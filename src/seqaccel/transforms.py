@@ -23,20 +23,21 @@ Both families compute cell i of order k >= 1 with one kernel,
 `_weighted_ratio`: Δᵏ[n^(k-1)·w·t] / Δᵏ[n^(k-1)·w] at n = n0, one weighted sum
 of integers and one `Fraction`. Levin has t = s, w = 1/R and n0 = i. An
 E-algorithm cell is a ratio of two determinants (Brezinski 1980), and these
-weights solve the model exactly (Sidi 2003): t is the top column (s, or
-g(0, j) for `g_algorithm`), and w = 1/R with n0 = i + 1 (TEXT) or w = R with
-no power of n (CODE). A cell reads one window of Δs, and the weights come from
-it alone (`_delta_weights`): 1/R is 1/Δs[x] (t), 1/((x+1)·Δs[x]) (u) or
-1/Δs[x] - 1/Δs[x+1] (v). The same cells are s's differences (g(0, j)
-differences its window). Only a degenerate window reads R (`_remainder`): an
-undefined or zero Δs, equal neighbours (v), or a zero E-algorithm denominator.
-Levin then gives s[i+j] for a lone zero R[i+j] (`zero-over-zero` if
+weights solve the model exactly (Sidi 2003): t is the top column (s, or g(0, j)
+for `g_algorithm`), and w = 1/R with n0 = i + 1 (TEXT) or w = R with no power
+of n (CODE). A cell reads one window of Δs, whose cells are Elements as every
+stream's are, and the weights come from it alone (`_delta_weights`): 1/R is
+1/Δs[x] (t), 1/((x+1)·Δs[x]) (u) or 1/Δs[x] - 1/Δs[x+1] (v). The same cells are
+s's differences (g(0, j) differences its window). R (`_remainder`) is read only
+where that gives None, a degenerate window (an undefined or zero Δs, or equal
+neighbours for v: an undefined or zero R), or where an E-algorithm denominator
+is 0. Levin then gives s[i+j] for a lone zero R[i+j] (`zero-over-zero` if
 (i+j)^(k-1) = 0) and `zero-over-zero` for more; the E-algorithm takes the
 table, which has the ratio's value wherever no pivot is zero. Where a pivot
-vanishes but the ratio exists, the cell is the ratio; where the window's
-system is singular, a defined cell is one limit that the window fits. Along a
-stream a cell makes k + 5 `NumStream.at` calls (k + 6 for kind v), keeps no
-window, and forces each input cell once, as its Δs window reads them.
+vanishes but the ratio exists, the cell is the ratio; where the window's system
+is singular, a defined cell is one limit that the window fits. Along a stream a
+cell makes k + 5 `NumStream.at` calls (k + 6 for kind v), keeps no window, and
+forces each input cell once, as its Δs window reads them.
 """
 from __future__ import annotations
 
@@ -94,14 +95,6 @@ class TransformSpec(namedtuple("TransformSpec", "method kind order g_convention"
         return e_algorithm(self.kind, self.order, s, self.g_convention)
 
 
-def remainder_estimate(kind: Kind, s: NumStream) -> NumStream:
-    """The R stream modelling the error of s: d = Δs, or one stream over d.
-
-    Kind u scales d[i] by i + 1, an offset other than the Levin weights'.
-    """
-    return _remainder(kind, s, forward_difference(s))
-
-
 def _remainder(kind: Kind, s: NumStream, d: NumStream) -> NumStream:
     """R over d = Δs: d itself (t), (x + 1)·d[x] (u), or d[x + 1]·d[x] / Δd[x] (v)."""
     if kind is Kind.T:
@@ -157,14 +150,10 @@ def _over_lcm(nums: list[int], dens: list[int]) -> list[int]:
     return [n * (m // d) for n, d in zip(nums, dens)]
 
 
-def _reciprocals(cells: list) -> list[int]:
-    """1/c for each nonzero rational (or integer) c, times one common integer v > 0."""
-    return _over_lcm([c.denominator for c in cells], [c.numerator for c in cells])
-
-
 def _delta_weights(kind: Kind, i: int, dw: list, text: bool) -> list[int] | None:
-    """1/R[i..i+k] (text) or R (code) from Δs[i..] = dw alone, times one integer; None
-    where a Δs cell is undefined or 0, or (v) two neighbours are equal: R is undefined or 0."""
+    """1/R[i..i+k] (text) or R (code) from Δs[i..] = dw alone, times one integer; None for
+    a degenerate window, where a Δs cell is undefined or 0, or (v) two neighbours are equal:
+    exactly where a cell of R[i..i+k] is undefined or 0."""
     try:  # an Undefined has no such slots
         ps, qs = [c._numerator for c in dw], [c._denominator for c in dw]
     except AttributeError:
@@ -202,11 +191,7 @@ def _weighted_ratio(ws: list[int], t0: Fraction, dt: list, n0: int | None, signs
     over one denominator (small where t[0] is a large rational), then one
     `Fraction` is added to t[0]; a zero denominator is undefined as in `div`.
     """
-    try:
-        e = lcm(*(c._denominator for c in dt))
-    except AttributeError:  # an int cell, which is no `Element`: read each as a Fraction
-        return _weighted_ratio(ws, t0, list(map(Fraction, dt)), n0, signs)
-    k = len(ws) - 1
+    e, k = lcm(*(c._denominator for c in dt)), len(ws) - 1
     weighted = [b * w * (1 if n0 is None else (n0 + j) ** (k - 1))
                 for j, (b, w) in enumerate(zip(signs, ws))]
     num = run = 0
@@ -251,16 +236,12 @@ def _table(kind: Kind, k: int, s: NumStream, convention: GConvention, j=None) ->
         window = range(i, i + k + 1)
         dw = list(map(d.at, range(i, i + k + 1 + v)))
         t_win = [top.at(i)] if j is None else list(map(top.at, window))  # s[i]: Δs gives the rest
-        r_win = None
         if k:
-            if not (ws := _delta_weights(kind, i, dw, text)):  # a degenerate window: R's cells
-                r_win = list(map(r.at, window))
-                if not first_undefined(*r_win) and all(r_win):
-                    ws = _reciprocals(r_win) if text else _reciprocals(_reciprocals(r_win))
+            ws = _delta_weights(kind, i, dw, text)
             value = _closed_form(i, ws, t_win, text, None if j else dw[:k], signs)
             if value is not None:
                 return value
-        r_win = r_win or list(map(r.at, window))
+        r_win = list(map(r.at, window))
         t_win += map(top.at, window[len(t_win):])
         for x, rx, tx in zip(window, r_win, t_win):
             if x not in rows[0]:  # rows are deterministic: write-once suffices
@@ -348,9 +329,9 @@ def levin(kind: Kind, k: int, s: NumStream) -> NumStream:
                             *reversed(s_win[:k - 1]))
         if u:
             return propagated(u)
-        # ws[j] is ∏ R[i+m] over m != j, divided by the product of the nonzero R.
+        # R has a zero: ∏ R[i+m] over m != j vanishes but at the j of a lone zero.
         lone_zero = r_win.count(0) == 1
-        ws = [int(lone_zero and c == 0) for c in r_win] if 0 in r_win else _reciprocals(r_win)
+        ws = [int(lone_zero and c == 0) for c in r_win]
         return _weighted_ratio(ws, t0, dw[:k], i, signs)
 
     return NumStream(compute, _extent(kind, s, k))

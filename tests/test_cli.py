@@ -418,9 +418,9 @@ class TestGConventionFlag:
 PUBLIC_API = {
     "Undefined", "UndefinedReason", "is_defined", "parse_scalar", "render_decimal",
     "NumStream", "forward_difference", "from_function", "from_values", "iota",
-    "last_defined", "partial_sums", "take", "zip_with",
+    "last_defined", "partial_sums", "take",
     "GConvention", "Kind", "Method", "TransformSpec", "aitken", "e_algorithm",
-    "g_algorithm", "levin", "remainder_estimate",
+    "g_algorithm", "levin",
     "BUILTIN_SEQUENCES", "SequenceParseError", "alternating_naturals_terms",
     "catalan_stream", "grandi_terms", "leibniz_pi4_terms", "load_sequence",
     "open_source", "plain_lambda_terms_stream",
@@ -432,7 +432,7 @@ PUBLIC_API = {
 def test_package_init_is_the_one_export_list():
     public = {name for name, value in vars(seqaccel).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-    assert public == PUBLIC_API and len(PUBLIC_API) == 40
+    assert public == PUBLIC_API and len(PUBLIC_API) == 38
     assert [p.name for p in (SRC / "seqaccel").glob("*.py") if "__all__" in p.read_text()] == []
 
 

@@ -20,10 +20,9 @@ from seqaccel import (
     last_defined,
     partial_sums,
     take,
-    zip_with,
 )
 from seqaccel import streams
-from seqaccel.scalars import add, div, is_defined, mul, sub
+from seqaccel.scalars import is_defined
 
 import oracles
 from conftest import assert_stream_equals
@@ -87,25 +86,20 @@ class TestAt:
         assert calls == [1]
 
     def test_determinism_structural_equality(self):
-        s = zip_with(div, from_values([1, 1]), from_values([0, 2]))
-        first = [s.at(i) for i in range(2)]
-        second = [s.at(i) for i in range(2)]
+        s = forward_difference(from_values([1, Undefined(UndefinedReason.DIV_BY_ZERO), 2, 4]))
+        first = [s.at(i) for i in range(3)]
+        second = [s.at(i) for i in range(3)]
         assert first == second
 
 
 class TestCombinators:
-    def test_zip_with_sub(self):
-        out = zip_with(sub, from_values([3, 5, 7]), from_values([1, 1, 1]))
-        assert_stream_equals(out, [2, 4, 6])
-
-    def test_zip_with_min_extent(self):
-        out = zip_with(mul, iota(1, 1), from_values([2, 2]))
-        assert_stream_equals(out, [2, 4])
-
-    def test_zip_with_division_undefined_cells(self):
-        out = zip_with(div, from_values([1, 1]), from_values([0, 2]))
-        assert isinstance(out.at(0), Undefined)
-        assert out.at(1) == F(1, 2)
+    def test_from_function_coerces_each_cell_to_an_element(self):
+        s = from_function(lambda i: (i, "1/2", F(2, 3), Undefined(UndefinedReason.DIV_BY_ZERO))[i])
+        assert [(type(c), c) for c in s.prefix(3)] == [
+            (Fraction, 0), (Fraction, F(1, 2)), (Fraction, F(2, 3))]
+        assert s.at(3) == Undefined(UndefinedReason.DIV_BY_ZERO)
+        with pytest.raises(TypeError, match="cannot convert float to an Element"):
+            from_function(lambda i: 0.5).at(0)
 
     def test_iota_progressions(self):
         assert [iota(1, 1).at(i) for i in range(3)] == [1, 2, 3]
@@ -192,17 +186,10 @@ class TestDifferencesAndSums:
     def test_extent_arithmetic(self, values):
         s = from_values(values)
         assert forward_difference(s).length == max(len(values) - 1, 0)
-        other = from_values([1, 2, 3])
-        assert zip_with(add, s, other).length == min(len(values), 3)
+        assert take(s, 3).length == min(len(values), 3)
 
 
 class TestLaziness:
-    def test_zip_forces_only_needed_indices(self):
-        a, calls_a = counting_source()
-        b, calls_b = counting_source()
-        zip_with(add, a, b).at(5)
-        assert max(calls_a) == 5 and max(calls_b) == 5
-
     def test_difference_forces_one_ahead_only(self):
         src, calls = counting_source()
         forward_difference(src).at(3)
@@ -562,24 +549,13 @@ class TestPartialSumsRuns:
             first = next(v for v in values if not is_defined(v))
             assert streams._exact_sum(values) is first
 
-    def test_int_terms_sum_as_fractions(self, monkeypatch):
-        # A function's terms need not be Fractions; the leaves read Fraction
-        # slots. One int among Fractions must not send the whole list to a
-        # term-by-term sum, which reduces by a gcd at every step.
+    def test_int_terms_sum_as_fractions(self):
+        # A function's terms need not be Fractions: `from_function` makes each
+        # one an Element, whose slots the leaves read.
         total = partial_sums(from_function(lambda i: i, 100)).at(99)
         assert type(total) is Fraction and total == 4950
-        halves, summed = streams._halves, []
-
-        def spy(values, lo, hi):
-            p, q = halves(values, lo, hi)
-            summed.append((lo, hi))
-            return p, q
-
-        monkeypatch.setattr(streams, "_halves", spy)
-        terms = [1] + [Fraction(1, i + 1) for i in range(1, 1000)]
-        total = streams._exact_sum(terms)
-        assert type(total) is Fraction and total == sum(terms, Fraction(0))
-        assert (0, 1000) in summed
+        with pytest.raises(TypeError, match="not an Element"):  # `NumStream` does not coerce
+            partial_sums(NumStream(lambda i: i, 100)).at(99)
 
     def test_runs_are_gated_on_denominator_size(self, monkeypatch):
         # Ungated leaves of 1/i! multiply unreduced factorials: the largest gcd

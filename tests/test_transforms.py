@@ -1,3 +1,4 @@
+import hashlib
 import random
 import subprocess
 import sys
@@ -31,7 +32,6 @@ from seqaccel import (
     leibniz_pi4_terms,
     levin,
     partial_sums,
-    remainder_estimate,
     take,
 )
 from seqaccel import transforms
@@ -64,6 +64,11 @@ OOR = Undefined(UndefinedReason.OUT_OF_RANGE)
 
 def P(u: Undefined) -> Undefined:
     return Undefined(UndefinedReason.PROPAGATED_FROM_INPUT, u.cause)
+
+
+def remainder_estimate(kind: Kind, s: NumStream) -> NumStream:
+    """The R stream the transforms read over s: Δs, or one stream over Δs."""
+    return transforms._remainder(kind, s, forward_difference(s))
 
 
 # Streams that mix undefined causes.
@@ -503,17 +508,20 @@ class TestClosedForm:
 
 
 class TestDeltaRoute:
-    """Weights from the Δs window alone give the cells of the route through R's window."""
+    """Weights from the Δs window; a degenerate window takes Levin's zero-R rule or the table."""
 
     UNDEFINED = [DZ, ZZ, OOR, P(DZ), P(ZZ), P(OOR)]
+    # sha256 of every cell read below, as repr((length, repr(cell), input cells
+    # forced in order)); recorded while the transforms still had a weight route
+    # through R's reciprocals.
+    DIGEST = "bf0bebda321df83df9d853bb4735d17d8c3aee166f99e5dee49d94a775e0f85e"
 
-    def test_every_cell_matches_the_route_through_r(self, monkeypatch):
+    def test_every_cell_matches_the_oracles(self, monkeypatch):
         # Small spans give zeros, repeats, equal Δs neighbours and zero
         # denominators; undefined cells of every reason and cause are mixed
-        # in. Each cell is read on a fresh pipeline, once as served and once
-        # with the Δs route switched off, so that every window reads R: the
-        # two agree on value, reason and cause, on the length, and on the
-        # input cells forced, in order.
+        # in. Each cell is read on a fresh pipeline and equals the list
+        # oracle's (None for undefined); the digest pins its value, reason,
+        # cause, length and the input cells it forced, in order.
         weights, kernel = transforms._delta_weights, transforms._weighted_ratio
         routes, from_delta = Counter(), False
 
@@ -529,8 +537,19 @@ class TestDeltaRoute:
             routes["Δs, zero denominator"] += from_delta and not is_defined(value)
             return value
 
-        rng = random.Random(2032)
+        plain_galg, memo = oracles.galg_list, {}
+
+        def galg_list(kind, k, j, s, convention):  # once per argument: s is one draw's
+            if (kind, k, j, convention) not in memo:
+                memo[kind, k, j, convention] = plain_galg(kind, k, j, s, convention)
+            return memo[kind, k, j, convention]
+
+        monkeypatch.setattr(oracles, "galg_list", galg_list)
+        monkeypatch.setattr(transforms, "_delta_weights", counted_weights)
+        monkeypatch.setattr(transforms, "_weighted_ratio", counted_kernel)
+        digest, rng = hashlib.sha256(), random.Random(2032)
         for _ in range(120):
+            memo.clear()
             k = rng.randint(1, 12)
             values = random_stream_values(rng, rng.randint(k + 1, k + 7), rng.choice([1, 3, 9, 9]))
             if rng.random() < 0.3:  # an arithmetic run: kind t's ratio has a zero denominator
@@ -538,32 +557,28 @@ class TestDeltaRoute:
             for x in rng.sample(range(len(values)), rng.choice([0, 0, 1, 2])):
                 values[x] = rng.choice(self.UNDEFINED)
             kind, j = rng.choice(KINDS), rng.randint(1, k + 2)
-            builds = [lambda s: levin(kind, k, s)] + [
-                build for conv in CONVENTIONS
-                for build in (lambda s, conv=conv: e_algorithm(kind, k, s, conv),
-                              lambda s, conv=conv: g_algorithm(kind, k, j, s, conv))]
-
-            def read(build, i: int, delta_off: bool):
-                forced = []
-                out = build(NumStream(lambda x: forced.append(x) or values[x], len(values)))
-                with monkeypatch.context() as m:
-                    if delta_off:
-                        m.setattr(transforms, "_delta_weights", lambda *args: None)
-                    else:
-                        m.setattr(transforms, "_delta_weights", counted_weights)
-                        m.setattr(transforms, "_weighted_ratio", counted_kernel)
-                    cell = out.at(i)
-                return out.length, repr(cell), forced
-
-            for build in builds:
+            plain, code = [None if isinstance(v, Undefined) else v for v in values], kind_code(kind)
+            cases = [(lambda s: levin(kind, k, s), oracles.levin1_list(code, plain) if k == 1
+                      else oracles.levin_product_list(code, k, plain))] + [
+                case for conv in CONVENTIONS
+                for case in ((lambda s, conv=conv: e_algorithm(kind, k, s, conv),
+                              ealg_oracle(code, k, plain, conv.value)),
+                             (lambda s, conv=conv: g_algorithm(kind, k, j, s, conv),
+                              ealg_oracle(code, k, plain, conv.value, j)))]
+            for build, want in cases:
                 for i in range(len(values) - k + 1):
-                    assert read(build, i, False) == read(build, i, True), (values, kind, k, j, i)
+                    forced = []
+                    out = build(NumStream(lambda x: forced.append(x) or values[x], len(values)))
+                    cell = out.at(i)
+                    got = cell if is_defined(cell) else None
+                    assert got == (want[i] if i < len(want) else None), (values, kind, k, j, i)
+                    digest.update(repr((out.length, repr(cell), forced)).encode())
+        assert digest.hexdigest() == self.DIGEST
         assert all(routes[r] > 50 for r in ("Δs", "degenerate", "Δs, zero denominator")), routes
 
-    @pytest.mark.parametrize("kind", [Kind.T, Kind.U], ids=kind_code)
+    @pytest.mark.parametrize("kind", KINDS, ids=kind_code)
     def test_int_cells_give_the_cells_of_their_fractions(self, kind):
-        # An int is no `Element`, and its Δs cells have no Fraction slots: such
-        # windows take the route through R, whose kernel reads them as Fractions.
+        # `from_function` makes each int an Element, as `from_values` does.
         ints = [(-1) ** i * (i * i + 3) + 2 * i for i in range(14)]
         for build in (lambda s: levin(kind, 3, s), lambda s: e_algorithm(kind, 3, s),
                       lambda s: e_algorithm(kind, 3, s, GConvention.CODE)):
