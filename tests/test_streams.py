@@ -98,8 +98,18 @@ class TestCombinators:
         assert [(type(c), c) for c in s.prefix(3)] == [
             (Fraction, 0), (Fraction, F(1, 2)), (Fraction, F(2, 3))]
         assert s.at(3) == Undefined(UndefinedReason.DIV_BY_ZERO)
+
+    def test_from_function_rejects_a_float(self):
+        # A float has no exact Element; the coercion raises on the read.
+        s = from_function(lambda i: 0.5)
         with pytest.raises(TypeError, match="cannot convert float to an Element"):
-            from_function(lambda i: 0.5).at(0)
+            s.at(0)
+
+    def test_from_function_keeps_its_length(self):
+        calls = []
+        s = from_function(lambda i: calls.append(i) or i, 3)
+        assert s.length == 3 and s.to_list() == [0, 1, 2]
+        assert s.at(3).reason == UndefinedReason.OUT_OF_RANGE and calls == [0, 1, 2]
 
     def test_iota_progressions(self):
         assert [iota(1, 1).at(i) for i in range(3)] == [1, 2, 3]
@@ -199,6 +209,12 @@ class TestLaziness:
         src, calls = counting_source()
         partial_sums(src).at(4)
         assert max(calls) == 4
+
+    def test_from_function_calls_fn_once_per_read_cell(self):
+        calls = []
+        s = from_function(lambda i: calls.append(i) or i)
+        assert s.at(5) == 5 and s.at(5) == 5 and s.at(2) == 2
+        assert calls == [5, 2]
 
     def test_take_out_of_range_forces_nothing(self):
         src, calls = counting_source()
