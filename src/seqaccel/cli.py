@@ -104,9 +104,9 @@ def _run(args, out) -> int:
         _require_terms(source, args.terms)
         raw = take(source, args.terms)
         transformed = spec.apply(raw)
-        for i in range(args.terms):
-            cells = (render_decimal(stream.at(i), args.digits) for stream in (raw, transformed))
-            print(i, *cells, sep="\t", file=out)
+        for i in range(args.terms):  # row by row, so a reader that stops early stops the work
+            out.write(f"{i}\t{render_decimal(raw.at(i), args.digits)}\t"
+                      f"{render_decimal(transformed.at(i), args.digits)}\n")
         return 0
     report = pipeline(spec, source, args.terms, digits=args.digits, mode=args.mode)
     print(report.rendered, file=out)

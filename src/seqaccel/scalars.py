@@ -124,6 +124,17 @@ def div(a: Element, b: Element) -> Element:
     return a / b
 
 
+def _slot_sum(a: int, b: int, c: int, d: int) -> Fraction:
+    """a/b + c/d, both in lowest terms over b, d > 0, by `Fraction.__add__`'s gcd
+    steps: with g = gcd(b, d), only gcd(t, g) of t = a·(d/g) + c·(b/g) divides out."""
+    g = math.gcd(b, d)
+    t, s = a * (d // g) + c * (b // g), b // g
+    g = math.gcd(t, g)
+    f = object.__new__(Fraction)  # in lowest terms already
+    f._numerator, f._denominator = t // g, s * (d // g)
+    return f
+
+
 _SCALAR_RE = re.compile(r"([+-]?)(\d+)(?:/(\d+)|(?:\.(\d+))?(?:[eE]([+-]?)0*(\d+))?)")
 _CHUNK = 4000  # digits per int() call: under the interpreter's 4300-digit limit
 # Largest |e| in "<decimal>e<e>": 10^e is then at most ~332,000 bits, and a
@@ -184,7 +195,7 @@ _LOG10_2 = math.log10(2)
 def _expansion(value: Fraction, n: int) -> tuple[int, str, int]:
     """floor(log10(|value|)), the first n + 1 significant digits of nonzero
     `value`, and the end of their nonzero digits (past them where more follow)."""
-    p, q = abs(value.numerator), value.denominator
+    p, q = abs(value._numerator), value._denominator
     # g <= floor(log10 |value|) = e: one unit of the margin covers |value| >
     # 2^(bits p - bits q - 1), the other the float product's rounding. The quotient
     # then has n + 1 + e - g digits, so its length gives e; the 1 to 3 digits
@@ -224,10 +235,12 @@ def _render(value: Element, sig_digits: int, expansion: tuple | None = None) -> 
     """`render_decimal`, given `_expansion(value, sig_digits)` where the caller has it."""
     if sig_digits < 1:
         raise ValueError(f"sig_digits must be >= 1, got {sig_digits}")
-    value = as_element(value)
-    if isinstance(value, Undefined):
-        return f"undefined({value.cause.value})"
-    if value == 0:
+    if not isinstance(value, Fraction):
+        value = as_element(value)
+        if isinstance(value, Undefined):
+            return f"undefined({value.cause.value})"
+    num = value._numerator
+    if not num:
         return "0" if sig_digits == 1 else "0." + "0" * (sig_digits - 1)
 
     e, digits = _rounded(expansion or _expansion(value, sig_digits), sig_digits)
@@ -239,4 +252,4 @@ def _render(value: Element, sig_digits: int, expansion: tuple | None = None) -> 
     else:
         mantissa = digits[0] + ("." + digits[1:] if sig_digits > 1 else "")
         body = f"{mantissa}e{e}"
-    return ("-" if value < 0 else "") + body
+    return ("-" if num < 0 else "") + body

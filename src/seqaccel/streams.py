@@ -26,6 +26,7 @@ from .scalars import (
     Element,
     Undefined,
     UndefinedReason,
+    _slot_sum,
     add,
     as_element,
     first_undefined,
@@ -152,9 +153,21 @@ def take(s: NumStream, n: int) -> NumStream:
 
 
 def forward_difference(s: NumStream) -> NumStream:
-    """Cell i is s[i+1] - s[i]; a finite length L becomes L - 1."""
+    """Cell i is s[i+1] - s[i]; a finite length L becomes L - 1.
+
+    Two `Fraction` cells are subtracted from their slots (`_slot_sum`);
+    any other pair goes through `sub`.
+    """
     length = None if s.length is None else max(s.length - 1, 0)
-    return NumStream(lambda i: sub(s.at(i + 1), s.at(i)), length)
+
+    def cell(i: int) -> Element:
+        b, a = s.at(i + 1), s.at(i)
+        try:  # an Undefined has no Fraction slots
+            return _slot_sum(b._numerator, b._denominator, -a._numerator, a._denominator)
+        except AttributeError:
+            return sub(b, a)
+
+    return NumStream(cell, length)
 
 
 def partial_sums(s: NumStream) -> NumStream:

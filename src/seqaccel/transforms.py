@@ -51,6 +51,7 @@ from .scalars import (
     Element,
     Undefined,
     UndefinedReason,
+    _slot_sum,
     div,
     first_undefined,
     mul,
@@ -153,11 +154,14 @@ def _over_lcm(nums: list[int], dens: list[int]) -> list[int]:
 def _delta_weights(kind: Kind, i: int, dw: list, text: bool) -> list[int] | None:
     """1/R[i..i+k] (text) or R (code) from Δs[i..] = dw alone, times one integer; None for
     a degenerate window, where a Δs cell is undefined or 0, or (v) two neighbours are equal:
-    exactly where a cell of R[i..i+k] is undefined or 0."""
+    exactly where a cell of R[i..i+k] is undefined or 0. A cell that is no Element raises
+    TypeError."""
     try:  # an Undefined has no such slots
         ps, qs = [c._numerator for c in dw], [c._denominator for c in dw]
     except AttributeError:
-        return None
+        if all(isinstance(c, Element) for c in dw):
+            return None
+        raise TypeError("a stream cell is not an Element (Fraction or Undefined)") from None
     if 0 in ps:
         return None
     if kind is Kind.U:
@@ -191,29 +195,19 @@ def _weighted_ratio(ws: list[int], t0: Fraction, dt: list, n0: int | None, signs
     over one denominator (small where t[0] is a large rational), then one
     `Fraction` is added to t[0]; a zero denominator is undefined as in `div`.
     """
-    e, k = lcm(*(c._denominator for c in dt)), len(ws) - 1
+    dens = [c._denominator for c in dt]
+    e, k = lcm(*dens), len(ws) - 1
     weighted = [b * w * (1 if n0 is None else (n0 + j) ** (k - 1))
                 for j, (b, w) in enumerate(zip(signs, ws))]
     num = run = 0
-    for w, c in zip(weighted[1:], dt):
-        run += c._numerator * (e // c._denominator)  # (t[j] - t[0])·e
+    for w, c, q in zip(weighted[1:], dt, dens):
+        run += c._numerator * (e // q)  # (t[j] - t[0])·e
         num += w * run
     den = e * sum(weighted)
-    return _plus(t0, num, den) if den else div(num, den)
-
-
-def _plus(t0: Fraction, num: int, den: int) -> Fraction:
-    """t0 + num/den (den != 0), reduced as `Fraction.__add__` reduces a sum: with a/b = t0
-    and g = gcd(b, den), only gcd(t, g) of t = a·(den/g) + num·(b/g) is left to divide out."""
+    if not den:
+        return div(num, den)
     g = gcd(num, den) if den > 0 else -gcd(num, den)
-    num, den = num // g, den // g
-    a, b = t0.numerator, t0.denominator
-    g = gcd(b, den)
-    t, s = a * (den // g) + num * (b // g), b // g
-    g = gcd(t, g)
-    f = object.__new__(Fraction)  # in lowest terms already
-    f._numerator, f._denominator = t // g, s * (den // g)
-    return f
+    return _slot_sum(t0._numerator, t0._denominator, num // g, den // g)
 
 
 def _table(kind: Kind, k: int, s: NumStream, convention: GConvention, j=None) -> NumStream:
@@ -296,7 +290,9 @@ def levin(kind: Kind, k: int, s: NumStream) -> NumStream:
     A lone zero R[i+j] makes the cell s[i+j], or `zero-over-zero` where
     (i+j)^(k-1) = 0 (i = j = 0, k >= 2); two or more make it
     `zero-over-zero`. Order 1 keeps the short-circuit rule: when
-    Δs[i]·R[i] = 0 the cell is s[i] and R[i+1] is not read. From order 2
+    Δs[i]·R[i] = 0 the cell is s[i] and R[i+1] is not read. Kind v decides
+    it from Δs[i] and Δs[i+1] and reads R[i] only where Δs[i+1] is undefined,
+    0 or Δs[i], the cells where R[i] is undefined or 0. From order 2
     on, a zero denominator is undefined as in `div`. An undefined operand makes
     the cell undefined with the cause of the first one in summand order,
     s[i+k], R[i+k-1..i], s[i+k-1], R[i+k], s[i+k-2..i] (the summands wⱼ s[i+j]
@@ -314,10 +310,15 @@ def levin(kind: Kind, k: int, s: NumStream) -> NumStream:
     v, signs = kind is Kind.V, [(-1) ** (k - x) * comb(k, x) for x in range(k + 1)]
 
     def compute(i: int) -> Element:
-        if k == 1:  # R[i] alone first (for t and u, Δs[i] is 0 where R[i] is): R[i+1] unread
-            s0, s1, r0 = s.at(i), s.at(i + 1), (r if v else d).at(i)
-            u = first_undefined(s0, s1, r0)
-            if u or s1 == s0 or r0 == 0:  # Δs[i]·R[i] = 0
+        if k == 1:  # the short-circuit; for t and u, R[i] is 0 exactly where Δs[i] is
+            s0, s1 = s.at(i), s.at(i + 1)
+            u = first_undefined(s0, s1)
+            if v:  # R[i] = d1·d0 / (d1 - d0), undefined or 0 only where d1 is undefined, 0 or d0
+                d1 = d.at(i + 1)  # read where u is set too: a short-circuit cell forces s[i..i+2]
+                if not u and (isinstance(d1, Undefined) or d1 == 0 or d1 == d.at(i)):
+                    u = first_undefined(r.at(i))
+                    return propagated(u) if u else s0
+            if u or s1 == s0:
                 return propagated(u) if u else s0
         t0 = s.at(i)
         dw = list(map(d.at, range(i, i + k + 1 + v)))

@@ -214,6 +214,38 @@ class TestTable:
         assert (code, err) == (0, "")
         assert [line.split("\t")[1:] for line in again.splitlines()] == [[c, c] for c in column]
 
+    # Undefined lines, zero rows, exponent literals and a long literal, then a
+    # smooth file whose transformed cells are mostly defined.
+    FILES = {
+        "mixed": ["# comment line", "1/2", "0", "-0.0", "undefined(div-by-zero)", "3.25e2",
+                  "-1.5E-3", "1" * 4400, "0", "-7/3", "undefined(out-of-range)", "2.5e-1",
+                  "0.75  # trailing comment", "4", "4", "-0." + "3" * 4400],
+        "smooth": [f"{(-1) ** i * (i + 1)}.{7 * i % 10}5e-{i % 4}" if i % 5 else
+                   f"{i + 1}/{2 * i + 3}" for i in range(13)],
+    }
+
+    @pytest.mark.parametrize("method", Method, ids=lambda m: m.value)
+    def test_rows_match_a_per_cell_render(self, capsys, tmp_path, method):
+        # Byte for byte against the rows built one cell at a time,
+        # render_decimal(stream.at(i), d), with --terms past the transformed end.
+        digits = iter([1, 3, 10, 12] * 30)
+        for name, lines in self.FILES.items():
+            path = tmp_path / f"{name}.txt"
+            path.write_text("\n".join(lines) + "\n")
+            for kind, order, convention in [(k, o, c) for k in Kind for o in range(5)
+                                            for c in GConvention]:
+                d = next(digits)
+                for terms in (0, load_sequence(path).length):
+                    raw = take(load_sequence(path), terms)
+                    transformed = TransformSpec(method, kind, order, convention).apply(raw)
+                    want = "".join(f"{i}\t{render_decimal(raw.at(i), d)}\t"
+                                   f"{render_decimal(transformed.at(i), d)}\n"
+                                   for i in range(terms))
+                    got = run_cli(capsys, "table", "--method", method.value, "--kind", kind.value,
+                                  "--order", str(order), "--g-convention", convention.value,
+                                  "--terms", str(terms), "--digits", str(d), "--input", str(path))
+                    assert got == (0, want, ""), (name, kind, order, convention, terms)
+
     def test_exponent_out_of_range_exits_1(self, capsys, tmp_path):
         path = tmp_path / "seq.txt"
         path.write_text("1\n1e999999999\n")

@@ -142,6 +142,32 @@ class TestRenderDecimal:
         u = mul(div(F(1), F(0)), F(2))
         assert render_decimal(u, 3) == "undefined(div-by-zero)"
 
+    @pytest.mark.parametrize("value,digits,want", [
+        (7, 3, "7.00"),
+        (-7, 1, "-7"),
+        (0, 1, "0"),
+        (0, 4, "0.000"),
+        ("-0.00", 1, "0"),
+        ("-0/5", 3, "0.00"),
+        ("0e5", 1, "0"),
+        ("-1/3", 3, "-0.333"),
+        ("2.5E-7", 2, "2.5e-7"),
+        (F(-99996, 100000), 4, "-1.000"),
+        (F(-1, 10 ** 7), 2, "-1.0e-7"),
+        (F(-1024), 2, "-1.0e3"),
+        (F(-5, 10), 1, "-0.5"),
+        (F(-96, 10), 1, "-1e1"),
+    ])
+    def test_int_str_zero_and_negative_inputs(self, value, digits, want):
+        # An int or a string is read as `as_element` reads it; a zero of any
+        # sign renders unsigned.
+        assert render_decimal(value, digits) == want
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_rejected(self, value):
+        with pytest.raises(TypeError, match="^bool is not a scalar$"):
+            render_decimal(value, 3)
+
     def test_bad_digit_count_rejected(self):
         with pytest.raises(ValueError):
             render_decimal(F(1), 0)

@@ -3,10 +3,10 @@ import random
 import sys
 import threading
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
-from hypothesis import event, given, strategies as st
+from hypothesis import event, example, given, strategies as st
 
 from seqaccel import (
     NumStream,
@@ -191,6 +191,30 @@ class TestDifferencesAndSums:
         assert out.length == max(len(values) - 1, 0)
         for i in range(out.length):
             assert out.at(i) == values[i + 1]
+
+    @given(cells=st.lists(st.one_of(
+        st.fractions(min_value=-50, max_value=50, max_denominator=20),
+        st.builds(F, st.integers(-2 ** 1100, 2 ** 1100), st.integers(2 ** 1000, 2 ** 1100)),
+        st.builds(F, st.integers(2 ** 1000, 2 ** 1100) | st.integers(-2 ** 1100, -2 ** 1000)),
+        st.sampled_from([Undefined(reason) for reason in UndefinedReason]),
+    ), max_size=8))
+    @example(cells=[F(-3, 7), F(2 ** 1200 + 1, 3 * 2 ** 1001), F(-5, 2 ** 1001)])
+    @example(cells=[Undefined(UndefinedReason.DIV_BY_ZERO), Undefined(UndefinedReason.OUT_OF_RANGE)])
+    def test_difference_cells_are_fraction_differences(self, cells):
+        # Each cell is built from two Fractions' slots; it must equal
+        # `Fraction.__sub__`'s, in lowest terms over a positive denominator.
+        # Doubling every cell gives equal neighbours, whose difference is 0/1.
+        for values in (cells, [c for c in cells for _ in range(2)]):
+            d = forward_difference(from_values(values)).to_list()
+            for i, got in enumerate(d):
+                b, a = values[i + 1], values[i]
+                if is_defined(a) and is_defined(b):
+                    want = F.__sub__(b, a)
+                    assert type(got) is F and got.as_integer_ratio() == want.as_integer_ratio()
+                    assert got.denominator > 0 and gcd(got.numerator, got.denominator) == 1
+                else:  # s[i+1]'s cause comes first, as in `sub(s[i+1], s[i])`
+                    first = b if not is_defined(b) else a
+                    assert got == Undefined(UndefinedReason.PROPAGATED_FROM_INPUT, first.cause)
 
     @given(values=small_value_lists)
     def test_extent_arithmetic(self, values):

@@ -585,6 +585,18 @@ class TestDeltaRoute:
             want = build(from_values(ints)).to_list()
             assert build(from_function(ints.__getitem__, len(ints))).to_list() == want
 
+    @pytest.mark.parametrize("kind", KINDS, ids=kind_code)
+    def test_cells_that_are_not_elements_raise_type_error(self, kind):
+        # `NumStream` does not coerce: its raw int cells are named as the fault,
+        # not met with a bare AttributeError (or float cells for kind v).
+        ints = NumStream(lambda i: (-1) ** i * i * i, 9)
+        for build in (lambda s: levin(kind, 1, s), lambda s: levin(kind, 2, s),
+                      lambda s: e_algorithm(kind, 2, s),
+                      lambda s: g_algorithm(kind, 2, 3, s, GConvention.CODE)):
+            with pytest.raises(TypeError, match=r"^a stream cell is not an Element "
+                                                r"\(Fraction or Undefined\)$"):
+                build(ints).to_list()
+
     @pytest.mark.parametrize("k", [24, 40])
     @pytest.mark.parametrize("kind", [Kind.U, Kind.V], ids=kind_code)
     def test_high_orders_match_the_list_oracles(self, monkeypatch, kind, k):
@@ -739,12 +751,13 @@ class TestSlidingWindow:
             assert not any(thread.is_alive() for thread in threads)
             assert sorted(seen) == list(range(8)) and all(c == fresh for c in seen.values()), name
 
-    @pytest.mark.parametrize("k", [2, 3, 12])
+    @pytest.mark.parametrize("k", [1, 2, 3, 12])
     def test_reads_per_cell_along_a_stream(self, monkeypatch, k):
         # Reading all 300 cells in order computes every cell of s and Δs
         # exactly once and no cell of R: each window comes from the streams'
         # own caches, there is one Δs per transform, and no window of these
-        # partial sums is degenerate, so every weight comes from Δs alone.
+        # partial sums is degenerate, so every weight comes from Δs alone
+        # (and Levin order 1 of kind v decides its short-circuit from Δs).
         # Kind t's R is the Δs stream itself, so each Δs cell counts as R too.
         values = take(partial_sums(leibniz_pi4_terms()), 300 + k + 2).to_list()
         computed = Counter()
@@ -1119,6 +1132,40 @@ class TestLevin:
             want = oracles.levin1_list(kind_code(kind), values)
             got = stream_cells(levin(kind, 1, from_values(values)), len(want))
             assert got == want
+
+    def test_order_one_kind_v_short_circuit_from_delta_alone(self):
+        # R[i] = Δs[i+1]·Δs[i] / (Δs[i+1] - Δs[i]) is undefined or 0 only where Δs[i+1]
+        # is undefined, 0 or Δs[i]; the cell decides its short-circuit there. Each cell
+        # equals the list oracle; a short-circuit cell has the value, reason and cause the
+        # rule gives from R[i] (the first undefined of s[i], s[i+1], R[i]; else s[i] where
+        # Δs[i]·R[i] = 0) and forces s[i..i+2], any other cell s[i..i+3], in order.
+        rng, seen = random.Random(1312), Counter()
+        for _ in range(300):
+            values = [F(rng.randint(-2, 2)) if rng.random() < 0.7 else
+                      F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rng.randint(4, 10))]
+            for x in rng.sample(range(len(values)), rng.choice([0, 0, 1, 2])):
+                values[x] = rng.choice([DZ, ZZ, OOR, P(DZ)])
+            plain = [None if isinstance(c, Undefined) else c for c in values]
+            want = oracles.levin1_list(kind_code(Kind.V), plain)
+            s, r = from_values(values), remainder_estimate(Kind.V, from_values(values))
+            assert levin(Kind.V, 1, s).length == len(want)
+            for i in range(len(want)):
+                forced = []
+                out = levin(Kind.V, 1, NumStream(lambda x: forced.append(x) or values[x],
+                                                 len(values)))
+                cell = out.at(i)
+                assert (cell if is_defined(cell) else None) == want[i], (values, i)
+                s0, s1, r0 = values[i], values[i + 1], r.at(i)
+                u = next((c for c in (s0, s1, r0) if not is_defined(c)), None)
+                if u or s1 == s0 or r0 == 0:
+                    assert cell == (P(u) if u else s0) and forced == [i, i + 1, i + 2]
+                else:
+                    assert forced == [i, i + 1, i + 2, i + 3], (values, i)
+                if is_defined(s0) and is_defined(s1):
+                    d0, d1 = s1 - s0, values[i + 2] - s1 if is_defined(values[i + 2]) else None
+                    seen["undefined" if d1 is None else "zero" if d1 == 0 else
+                         "equal" if d1 == d0 else "other"] += 1
+        assert all(seen[case] > 20 for case in ("undefined", "zero", "equal", "other")), seen
 
     @given(values=rational_lists)
     def test_order_two_matches_oracle(self, values):
