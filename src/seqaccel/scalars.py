@@ -98,13 +98,19 @@ def first_undefined(*elements: Element) -> Undefined | None:
 
 
 def add(a: Element, b: Element) -> Element:
-    u = first_undefined(a, b)
-    return propagated(u) if u else a + b
+    try:  # two Fractions add from their slots (`_slot_sum`); an Undefined has none
+        return _slot_sum(a._numerator, a._denominator, b._numerator, b._denominator)
+    except AttributeError:
+        u = first_undefined(a, b)
+        return propagated(u) if u else a + b
 
 
 def sub(a: Element, b: Element) -> Element:
-    u = first_undefined(a, b)
-    return propagated(u) if u else a - b
+    try:
+        return _slot_sum(a._numerator, a._denominator, -b._numerator, b._denominator)
+    except AttributeError:
+        u = first_undefined(a, b)
+        return propagated(u) if u else a - b
 
 
 def mul(a: Element, b: Element) -> Element:

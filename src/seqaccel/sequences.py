@@ -20,7 +20,7 @@ comments and blank lines ignored.
 """
 from __future__ import annotations
 
-import threading
+from _thread import allocate_lock  # threading.Lock, without importing threading
 from collections.abc import Callable
 from fractions import Fraction
 from itertools import compress
@@ -92,7 +92,7 @@ def plain_lambda_terms_stream() -> NumStream:
     rather than rounding a count.
     """
     v = [0, 0, 1, 1, 2, 2]
-    lock = threading.Lock()
+    lock = allocate_lock()
 
     def compute(i: int) -> Fraction:
         with lock:

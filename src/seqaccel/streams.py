@@ -17,7 +17,7 @@ reader sees), and stateful producers serialize their updates.
 """
 from __future__ import annotations
 
-import threading
+from _thread import allocate_lock  # threading.Lock, without importing threading
 from collections.abc import Callable, Iterable
 from fractions import Fraction
 from math import gcd
@@ -184,7 +184,7 @@ def partial_sums(s: NumStream) -> NumStream:
     and every later one: cell 0 is then the term itself, any other cell
     propagated from it, keeping its cause.
     """
-    lock = threading.Lock()  # concurrent readers force each term once
+    lock = allocate_lock()  # concurrent readers force each term once
     poisoned, poison = range(0), None  # cells known poisoned, every term up to them forced
 
     def compute(i: int) -> Element:

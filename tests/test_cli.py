@@ -469,10 +469,11 @@ def test_package_init_is_the_one_export_list():
 
 
 def test_one_parser_serves_every_call(capsys, monkeypatch):
-    # `main` builds its parser once and reuses it. Over valid commands, usage
-    # errors (exit 1), --help (exit 0), an unknown generator and an empty
-    # argv, run forward and backward, every call prints and exits as a call
-    # with a freshly built parser does.
+    # Over valid commands, usage errors (exit 1), --help (exit 0), an unknown
+    # generator and an empty argv, run forward and backward, every call prints
+    # and exits as a call that argparse reads with a freshly built parser does.
+    # A plain command line builds no parser, even where its run then fails; the
+    # first argv left to argparse builds one, and later calls reuse it.
     from seqaccel import cli
 
     argvs = [
@@ -490,6 +491,8 @@ def test_one_parser_serves_every_call(capsys, monkeypatch):
         ["sum-series", "--mode", "at-index:2", "--method", "ealg", "--kind", "t",
          "--generator", "grandi-terms", "--digits", "6"],
     ]
+    plain = [0, 1, 2, 4, 8, 10]
+    assert [n for n, argv in enumerate(argvs) if cli._read_plain(argv) is not None] == plain
     built = []
     build = cli.build_parser
 
@@ -499,17 +502,77 @@ def test_one_parser_serves_every_call(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "build_parser", counted_build)
     want = []
-    for argv in argvs:
-        monkeypatch.setattr(cli, "_parser", None)
-        want.append(run_cli(capsys, *argv))
+    with monkeypatch.context() as every_argv_to_argparse:
+        every_argv_to_argparse.setattr(cli, "_read_plain", lambda argv: None)
+        for argv in argvs:
+            every_argv_to_argparse.setattr(cli, "_parser", None)
+            want.append(run_cli(capsys, *argv))
     assert {code for code, _, _ in want} == {0, 1, 2} and len(built) == len(argvs)
     assert all(out or err for _, out, err in want)
     monkeypatch.setattr(cli, "_parser", None)
     built.clear()
+    for n in plain:
+        assert run_cli(capsys, *argvs[n]) == want[n], argvs[n]
+    assert built == [] and cli._parser is None
     for order in (range(len(argvs)), reversed(range(len(argvs)))):
         for n in order:
             assert run_cli(capsys, *argvs[n]) == want[n], argvs[n]
     assert len(built) == 1 and cli._parser is built[0]
+
+
+# A plain command line with zero, one or two sources, then up to three edits that
+# argparse may read in another way: an abbreviated or unknown option, --opt=value,
+# help, "--", a repeated or missing option or value, and values that are negative,
+# malformed, empty, start with "-" or are in non-ASCII digits.
+_GOOD_VALUES = {
+    "--method": ["levin", "ealg"], "--kind": ["t", "u", "v"],
+    "--order": ["0", "2", "\u0663", " 3", "1_0"], "--g-convention": ["text", "code"],
+    "--terms": ["0", "12", "\u0668", "+4 "], "--digits": ["1", "6", "\u0665"],
+    "--generator": ["catalan", "nope", "", "table"], "--input": ["seq.txt", ""],
+    "--mode": ["take-last", "at-index:2", "at-index:\u0663"],
+}
+_BAD_TOKENS = ["--gen", "--meth", "--t", "--in", "--g", "--mo", "-h", "--help", "--", "-x",
+               "-1", "-", "x", "0", "", "2.0", "aitken", "TEXT", "at-index:", "at-index:-1"]
+
+
+@st.composite
+def _command_lines(draw) -> list[str]:
+    sources = [["--generator"], ["--input"]] * 2 + [[], ["--generator", "--input"]]
+    others = [option for option in _GOOD_VALUES if option not in ("--generator", "--input")]
+    options = draw(st.lists(st.sampled_from(others), unique=True))
+    for source in draw(st.sampled_from(sources)):
+        options.insert(draw(st.integers(0, len(options))), source)
+    argv = [draw(st.sampled_from(list(COMMANDS)))]
+    for option in options:
+        argv += [option, draw(st.sampled_from(_GOOD_VALUES[option]))]
+    for _ in range(draw(st.integers(0, 3))):
+        where = draw(st.integers(0, len(argv)))
+        option = draw(st.sampled_from(list(_GOOD_VALUES) + _BAD_TOKENS))
+        token = draw(st.sampled_from(_BAD_TOKENS + _GOOD_VALUES.get(option, [])))
+        edit = draw(st.sampled_from(["insert", "join", "replace", "value", "delete"]))
+        if edit in ("insert", "join"):
+            argv[where:where] = [option, token] if edit == "insert" else [f"{option}={token}"]
+        elif edit == "value" and len(argv) > 2:  # the value after an option
+            argv[2 * draw(st.integers(1, (len(argv) - 1) // 2))] = token
+        elif where < len(argv):
+            argv[where:where + 1] = [token] if edit == "replace" else []
+    return argv
+
+
+@settings(max_examples=500, deadline=None)
+@given(argv=_command_lines())
+def test_plain_reader_gives_the_namespace_argparse_gives(argv):
+    # `main` reads an argv itself or leaves it to argparse: what it reads, it reads
+    # as argparse does, and it leaves every argv that argparse rejects or answers.
+    from seqaccel import cli
+
+    read = cli._read_plain(argv)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            parsed = vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            parsed = None
+    assert read is None or vars(read) == parsed
 
 
 # The documented input grammar: one literal per line (integer, p/q, or a

@@ -1245,7 +1245,8 @@ class TestLevinAgainstMpmath:
     def test_runtime_does_not_import_mpmath(self):
         # Under -I -S no site hook imports anything on the library's behalf,
         # so the child's modules are the ones the CLI itself loads.
-        unused = ["bisect", "dataclasses", "inspect", "mpmath", "pathlib", "typing"]
+        unused = ["argparse", "bisect", "dataclasses", "gettext", "inspect", "mpmath",
+                  "pathlib", "threading", "typing"]
         code = ("import sys; sys.path.insert(0, sys.argv[1]); import seqaccel.cli\n"
                 "status = seqaccel.cli.main(['growth-coeff', '--generator', 'catalan',"
                 " '--terms', '800'])\n"
